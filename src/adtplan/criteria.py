@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularDesignError, ValidationError
 from .failure_time import median_failure_time, sigma_u2
@@ -110,8 +109,8 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, var: str) -> np.ndarray:
             "information matrix is singular; design does not identify the "
             f"direction {_deficient_direction(mat, names)}"
         )
-    factor = cho_factor(0.5 * (mat + mat.T), lower=True, check_finite=False)
-    return cho_solve(factor, rhs, check_finite=False)
+    L = np.linalg.cholesky(0.5 * (mat + mat.T))
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def info_time_fixed(design: ApproximateDesign, model: DegradationModel) -> np.ndarray:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DegenerateVarianceError,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel, kron_vec
-from .timeplan import GridSpec, OptimalityCertificate, OptimizerConfig, optimize_capped_weights
+from .timeplan import GridSpec, OptimalityCertificate, OptimizerConfig, optimize_capped_weights, support_design
 
 __all__ = [
     "VarianceFunction",
@@ -199,12 +198,12 @@ def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_sta
     M = info_single_obs(design, model)
     c = kron_vec(model.stress_basis.evaluate(model.x_u), model.time_basis.evaluate(t_star))
     try:
-        factor = cho_factor(M, lower=True, check_finite=False)
+        y = np.linalg.solve(np.linalg.cholesky(M), c)
     except np.linalg.LinAlgError:
         raise SingularDesignError(
             "single-observation information is singular; design does not identify all coefficients"
         ) from None
-    return float(c @ cho_solve(factor, c, check_finite=False))
+    return float(y @ y)
 
 
 def elfving_brute_force_oracle(model: DegradationModel, t_star: float, grid_n: int) -> ApproximateDesign:
@@ -264,5 +263,4 @@ def numeric_destructive_time_design(
     vectors = np.array([weighted_f2(t, model) for t in pts])
     c = model.time_basis.evaluate(t_star)
     w, cert = optimize_capped_weights(vectors, c, 1.0, cfg)
-    keep = w > 0.0
-    return ApproximateDesign(points=tuple(pts[keep]), weights=tuple(w[keep])), cert
+    return support_design(pts, w, 1.0, cert.tol), cert

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     DegenerateVarianceError,
@@ -98,7 +97,9 @@ def h(t: float, model: DegradationModel) -> float:
 
 def failure_cdf(t: float, model: DegradationModel) -> float:
     """P(T <= t) = Phi(h(t))."""
-    return float(ndtr(h(t, model)))
+    # erfc keeps full relative accuracy in the lower tail, where
+    # NormalDist.cdf underflows to 0.
+    return 0.5 * math.erfc(-h(t, model) / math.sqrt(2.0))
 
 
 def median_failure_time(model: DegradationModel) -> float:
@@ -150,7 +151,7 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     """
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-    z = float(ndtri(alpha))
+    z = NormalDist().inv_cdf(alpha)
     h0 = h(0.0, model)
     if z <= h0:
         return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(0.0, 0.0))
@@ -182,7 +183,16 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     if _needs_monotonicity_check(model):
         _verify_increasing(model, lo, hi)
 
-    root = brentq(lambda t: h(t, model) - z, lo, hi, xtol=1e-14)
-    if abs(h(root, model) - z) > _H_TOL:
-        raise NonMonotoneMarginError(f"root residual {abs(h(root, model) - z)} exceeds {_H_TOL}")
-    return QuantileResult(t_alpha=float(root), exists=True, bounds_used=(lo, hi))
+    # Bisection on the increasing h down to adjacent floats, keeping
+    # h(a) < z <= h(b); the root is b.
+    a, b = lo, hi
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if h(mid, model) < z:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    if abs(h(b, model) - z) > _H_TOL:
+        raise NonMonotoneMarginError(f"root residual {abs(h(b, model) - z)} exceeds {_H_TOL}")
+    return QuantileResult(t_alpha=b, exists=True, bounds_used=(lo, hi))

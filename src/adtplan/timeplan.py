@@ -9,24 +9,23 @@ the optimal plan is free of the random-coefficient covariance altogether:
 the optimizer reads only the time basis, the error standard deviation, the
 grid, and the extrapolation time.
 
-Algorithm: multiplicative weight updates pi_j <- pi_j (phi_j / phibar)^lambda
-followed by Euclidean projection onto the capped simplex, with a certified
-active-set polish that solves the few non-saturated weights exactly.  A
-first-order (KKT) certificate is attached to every result: at the optimum
-the sensitivity phi must be largest on saturated points, constant on
+Algorithm: pair exchange with an exact step (REX; Harman, Filova &
+Richtarik 2020).  Weight moves from the supported point of lowest
+sensitivity phi to the unsaturated point of highest phi, then between
+interior points, each time by the exact line minimum; a support of exactly
+p points gets its free weights in closed form.  Every result carries a
+first-order (KKT) certificate from the bounded-design equivalence theorem
+(Sahm & Schwabe 2001): phi must be largest on saturated points, constant on
 interior points, and smallest on zero-weight points.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .errors import InfeasibleDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
@@ -35,21 +34,16 @@ __all__ = [
     "GridSpec",
     "OptimizerConfig",
     "OptimalityCertificate",
-    "project_capped_simplex",
     "optimize_capped_weights",
     "optimize_time_plan",
+    "support_design",
     "kkt_check",
     "round_to_exact",
     "two_point_extrapolation_design",
 ]
 
-# Consecutive near-zero relative improvements before the loop declares a stall.
-_STALL_LIMIT = 100
-_STALL_REL_CHANGE = 1e-14
-# Relative slack used by the monotone-descent acceptance rule.
-_DESCENT_SLACK = 1e-13
-# Raw iterations between cheap structure-polish attempts.
-_POLISH_PERIOD = 25
+# Share of its norm a start point keeps outside the span of those chosen before.
+_START_INDEPENDENCE = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,17 +80,16 @@ class GridSpec:
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
-    max_iters: int = 100_000
+    """max_iters bounds the number of exchange steps; tol is the certificate's tolerance."""
+
+    max_iters: int = 10_000
     tol: float = 1e-7
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValidationError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not (self.tol > 0.0):
             raise ValidationError(f"tol must be positive, got {self.tol}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValidationError(f"damping must be in (0, 1], got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -125,33 +118,11 @@ class OptimalityCertificate:
         return self.max_violation <= self.tol
 
 
-def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {w : 0 <= w_j <= cap, sum w = 1}.
-
-    Water-filling: the projection is clip(v - theta, 0, cap) for the theta
-    making the total equal one; theta is found by bisection (the total is
-    non-increasing in theta).
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    if n * cap < 1.0 - 1e-12:
-        raise InfeasibleDesignError(f"cap {cap} over {n} points cannot reach total weight 1")
-    lo, hi = v.min() - cap, v.max()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, cap).sum() >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    w = np.clip(v - lo, 0.0, cap)
-    # Spread the bisection residual over coordinates that are strictly inside,
-    # so the total is exact and boundary values stay exactly 0 or cap.
-    free = (w > 0.0) & (w < cap)
-    resid = 1.0 - w.sum()
-    if np.any(free):
-        w[free] += resid / free.sum()
-        np.clip(w, 0.0, cap, out=w)
-    return w
+def _first_positive_root(a: float, b: float, c: float) -> float:
+    """Smallest positive root of a x^2 + b x + c (inf if there is none)."""
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    roots = (c / q if q else math.inf, q / a if a else math.inf)
+    return min((x for x in roots if x > 0.0), default=math.inf)
 
 
 class _CappedCProblem:
@@ -165,25 +136,129 @@ class _CappedCProblem:
         self.n, self.p = self.V.shape
         self.cap = float(cap)
 
+    def cholesky(self, w: np.ndarray) -> np.ndarray | None:
+        """Lower Cholesky factor of M(w); None when M(w) is singular."""
+        V, ws = self.V[w > 0.0], w[w > 0.0]
+        M = (V * ws[:, None]).T @ V
+        try:
+            return np.linalg.cholesky(0.5 * (M + M.T))
+        except np.linalg.LinAlgError:
+            return None
+
     def criterion_and_sensitivity(self, w: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Criterion value and per-point sensitivity phi; (inf, None) if singular.
 
         phi_j = (c' M^-1 v_j)^2 / (c' M^-1 c), normalized so sum_j w_j phi_j = 1.
         """
-        M = (self.V * w[:, None]).T @ self.V
-        try:
-            factor = cho_factor(0.5 * (M + M.T), lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        L = self.cholesky(w)
+        if L is None:
             return math.inf, None
-        Minv_c = cho_solve(factor, self.c, check_finite=False)
-        crit = float(self.c @ Minv_c)
+        y = np.linalg.solve(L, self.c)
+        crit = float(y @ y)
         if not (crit > 0.0) or not math.isfinite(crit):
             return math.inf, None
-        b = self.V @ Minv_c
+        b = self.V @ np.linalg.solve(L.T, y)
         return crit, b * b / crit
 
-    def criterion(self, w: np.ndarray) -> float:
-        return self.criterion_and_sensitivity(w)[0]
+    def exchange(self, w: np.ndarray, i: int, j: int, min_gap: float = 0.0) -> float | None:
+        """Exact line search for moving weight between points i and j, in place.
+
+        Weight flows from the point of lower sensitivity, d, to the other, r.
+        Along M(a) = M + a (v_r v_r' - v_d v_d') Woodbury's identity gives,
+        with U = [v_r, v_d], G = U'M^-1 U, g = U'M^-1 c and S = diag(1, -1),
+
+            f(a) = f(0) - a g' adj(S + aG) g / det(S + aG),
+
+        linear over quadratic in a, so f'(a) = 0 is a quadratic (the cubic
+        terms cancel) whose first positive root is the line minimum.  It is
+        clipped to the feasible length min(w_d, cap - w_r).  Returns the
+        decrease f(0) - f(step) from this formula, which stays accurate below
+        the rounding noise of a recomputed criterion, or None when
+        phi_r - phi_d <= min_gap, no step is possible or the step would leave
+        a singular design.
+        """
+        Y = np.linalg.solve(self.cholesky(w), np.column_stack([self.V[i], self.V[j], self.c]))
+        K = Y.T @ Y
+        r, d, (a, b, dd, gr, gd) = i, j, (K[0, 0], K[0, 1], K[1, 1], K[0, 2], K[1, 2])
+        if gr * gr < gd * gd:
+            r, d, (a, dd, gr, gd) = j, i, (dd, a, gd, gr)
+        limit = min(w[d], self.cap - w[r])
+        n0, n1 = gd * gd - gr * gr, dd * gr * gr - 2.0 * b * gr * gd + a * gd * gd
+        d1, d2 = dd - a, a * dd - b * b
+        # f'(a) has the sign of P(a) = -n0 - 2 n1 a + (n1 d1 - n0 d2) a^2, P(0) > 0.
+        qa, qb, qc = n1 * d1 - n0 * d2, -2.0 * n1, -n0
+        if not (qc > min_gap * K[2, 2] and limit > 0.0):
+            return None
+        step = min(limit, _first_positive_root(qa, qb, qc))
+        empties = step == w[d]
+        # Emptying d while r is already supported would leave p - 1 points.
+        if empties and w[r] > 0.0 and np.count_nonzero(w) <= self.p:
+            return None
+        decrease = step * (n0 + n1 * step) / (d2 * step * step + d1 * step - 1.0)
+        trial = w.copy()
+        trial[r] = self.cap if step == self.cap - w[r] else w[r] + step
+        trial[d] = 0.0 if empties else w[d] - step
+        if not (decrease > 0.0 and self.cholesky(trial) is not None):
+            return None
+        w[:] = trial
+        return decrease
+
+    def finish(self, w: np.ndarray) -> float | None:
+        """Closed-form free weights on a support of exactly p points, in place.
+
+        With V_S the square matrix of the support rows and V_S' u = c, the
+        criterion is sum_S u_j^2 / w_j; keeping the saturated weights, the
+        free ones minimizing it are proportional to |u_j| (Elfving).  Returns
+        the decrease of the criterion, or None when the closed form is not a
+        better feasible design.
+        """
+        support = np.flatnonzero(w)
+        free = w[support] < self.cap
+        if support.size != self.p or np.count_nonzero(free) < 2:
+            return None
+        try:
+            share = np.abs(np.linalg.solve(self.V[support].T, self.c))[free]
+        except np.linalg.LinAlgError:
+            return None
+        trial = w.copy()
+        trial[support[free]] = w[support[free]].sum() * share / share.sum()
+        if not np.all((trial[support] > 0.0) & (trial[support] <= self.cap)):
+            return None
+        decrease = self.criterion_and_sensitivity(w)[0] - self.criterion_and_sensitivity(trial)[0]
+        if not decrease > 0.0:
+            return None
+        w[:] = trial
+        return decrease
+
+    def start(self) -> np.ndarray:
+        """Start design: m = max(p, ceil(1/cap)) points at weight 1/m.
+
+        The first p are linearly independent points taken in descending order
+        of phi at the uniform design, the rest the next highest-phi points.
+        """
+        _, phi = self.criterion_and_sensitivity(np.full(self.n, 1.0 / self.n))
+        if phi is None:
+            raise InfeasibleDesignError("the candidate set does not span the target direction: singular uniform design")
+        order = np.argsort(-phi, kind="stable")
+        chosen: list[int] = []
+        basis = np.zeros((0, self.p))
+        for _ in range(self.p):
+            resid = self.V - (self.V @ basis.T) @ basis
+            lengths = np.linalg.norm(resid, axis=1)
+            # The first point in phi order that is far enough from the span of
+            # the chosen ones; failing that, the farthest point.
+            ok = order[lengths[order] > _START_INDEPENDENCE * np.linalg.norm(self.V[order], axis=1)]
+            j = int(ok[0]) if ok.size else int(np.argmax(lengths))
+            chosen.append(j)
+            basis = np.vstack([basis, resid[j] / lengths[j]])
+        # ceil(1/cap) with 1/cap's rounding absorbed: k points for cap 1/k.
+        m = min(self.n, max(self.p, math.ceil(1.0 / self.cap - 1e-9)))
+        chosen += [int(j) for j in order if j not in chosen][: m - len(chosen)]
+        w = np.zeros(self.n)
+        w[chosen] = 1.0 / m
+        if self.cholesky(w) is None:
+            raise InfeasibleDesignError("the candidate vectors are too close to collinear for a nonsingular start")
+        return w
 
 
 def _classify(w: np.ndarray, cap: float, weight_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,17 +269,12 @@ def _classify(w: np.ndarray, cap: float, weight_tol: float) -> tuple[np.ndarray,
 
 
 def _ordering_violation(phi: np.ndarray, saturated: np.ndarray, interior: np.ndarray, zero: np.ndarray) -> float:
-    v = 0.0
+    lo_sat, hi_zero = phi[saturated].min(initial=np.inf), phi[zero].max(initial=-np.inf)
+    gaps = [hi_zero - lo_sat]
     if interior.any():
-        phi_int = phi[interior]
-        v = max(v, float(phi_int.max() - phi_int.min()))
-        if zero.any():
-            v = max(v, float(phi[zero].max() - phi_int.min()))
-        if saturated.any():
-            v = max(v, float(phi_int.max() - phi[saturated].min()))
-    if saturated.any() and zero.any():
-        v = max(v, float(phi[zero].max() - phi[saturated].min()))
-    return max(v, 0.0)
+        lo_int, hi_int = phi[interior].min(), phi[interior].max()
+        gaps += [hi_int - lo_int, hi_zero - lo_int, hi_int - lo_sat]
+    return float(max(*gaps, 0.0))
 
 
 def _certificate(
@@ -222,174 +292,6 @@ def _certificate(
     )
 
 
-def _pair_transfer(problem: _CappedCProblem, w: np.ndarray, a: int, b: int) -> np.ndarray | None:
-    """Optimal redistribution of the joint mass of points a and b.
-
-    The criterion restricted to this one degree of freedom is smooth and
-    convex with derivative proportional to phi_b - phi_a, so the interior
-    optimum is the root of the sensitivity difference; otherwise an endpoint
-    wins.  Returns the improved weight vector, or None if nothing beats w.
-    """
-    mass = w[a] + w[b]
-    if mass <= 0.0:
-        return None
-    lo = max(0.0, mass - problem.cap)
-    hi = min(problem.cap, mass)
-    if hi - lo <= 1e-15:
-        return None
-
-    def with_split(wa: float) -> np.ndarray:
-        out = w.copy()
-        out[a] = wa
-        out[b] = mass - wa
-        return out
-
-    def phi_gap(wa: float) -> float:
-        crit, phi = problem.criterion_and_sensitivity(with_split(wa))
-        if phi is None:
-            # Singular along the segment; signal no usable gap.
-            return math.nan
-        return float(phi[a] - phi[b])
-
-    eps = 1e-12 * max(1.0, hi - lo)
-    g_lo, g_hi = phi_gap(lo + eps), phi_gap(hi - eps)
-    candidates = [lo, hi]
-    if math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo > 0.0 > g_hi:
-        # Moving weight toward a helps while phi_a > phi_b; the optimum
-        # equalizes the sensitivities.
-        root = brentq(phi_gap, lo + eps, hi - eps, xtol=1e-15)
-        candidates.append(float(root))
-    best_w, best_crit = None, problem.criterion(w)
-    for wa in candidates:
-        cand = with_split(wa)
-        crit = problem.criterion(cand)
-        if crit < best_crit * (1.0 - 1e-15):
-            best_w, best_crit = cand, crit
-    return best_w
-
-
-def _solve_on_support(problem: _CappedCProblem, support: np.ndarray, w_start: np.ndarray) -> np.ndarray:
-    """Cyclic pair-transfer descent restricted to the given support.
-
-    Exact for the common one-free-pair structure; for larger interior sets it
-    converges as coordinate descent on a smooth convex objective.
-    """
-    w = w_start.copy()
-    idx = np.flatnonzero(support)
-    for _ in range(40):
-        improved = False
-        for a, b in itertools.combinations(idx.tolist(), 2):
-            cand = _pair_transfer(problem, w, a, b)
-            if cand is not None:
-                w = cand
-                improved = True
-        if not improved:
-            break
-    return w
-
-
-def _polish(
-    problem: _CappedCProblem,
-    w: np.ndarray,
-    crit: float,
-    phi: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Try to jump to an exactly-structured optimum near the current iterate.
-
-    Builds candidate active sets (top-k by sensitivity and weight-threshold
-    supports with KKT-driven augmentation), solves the free weights by pair
-    transfers, and returns the best candidate that does not increase the
-    criterion.  None if no candidate helps.
-    """
-    cap = problem.cap
-    n = problem.n
-    k_slots = int(round(1.0 / cap)) if abs(round(1.0 / cap) * cap - 1.0) < 1e-9 else None
-    order = np.argsort(-phi, kind="stable")
-
-    candidate_weights: list[np.ndarray] = []
-
-    def saturated_start(sat_idx: Sequence[int], free_idx: Sequence[int]) -> np.ndarray:
-        out = np.zeros(n)
-        for j in sat_idx:
-            out[j] = cap
-        remaining = 1.0 - cap * len(sat_idx)
-        if remaining < -1e-12 or (len(free_idx) == 0 and abs(remaining) > 1e-9):
-            return out  # infeasible start; criterion will reject it
-        if free_idx:
-            out[list(free_idx)] = remaining / len(free_idx)
-        elif sat_idx:
-            # Put the rounding residual on the lowest-sensitivity saturated point.
-            j_last = sat_idx[-1]
-            out[j_last] += remaining
-        return out
-
-    if k_slots is not None and k_slots <= n:
-        # Vertex design: the k highest-sensitivity points at cap.
-        candidate_weights.append(saturated_start(order[:k_slots].tolist(), []))
-        # k-1 saturated plus one free pair drawn from the next candidates.
-        sat = order[: k_slots - 1].tolist()
-        pool = order[k_slots - 1 : k_slots + 3].tolist()
-        for a, b in itertools.combinations(pool, 2):
-            start = saturated_start(sat, [a, b])
-            candidate_weights.append(_solve_on_support(problem, _mask(n, sat + [a, b]), start))
-
-    # Support detected from the iterate's weights at several thresholds,
-    # refined by pair transfers; outside KKT violations pull points in.
-    # Wide supports are skipped: pair descent would be slow there and the
-    # optimal structure keeps at most a couple of non-saturated points.
-    max_support = max(12, (k_slots or 0) + 4)
-    for frac in (1e-2, 1e-4):
-        support = w > cap * frac
-        if support.sum() < problem.p or support.sum() * cap < 1.0 - 1e-12:
-            continue
-        if support.sum() > max_support:
-            continue
-        idx = np.flatnonzero(support)
-        start = np.zeros(n)
-        start[idx] = project_capped_simplex(w[idx], cap)
-        refined = _solve_on_support(problem, support, start)
-        for _ in range(3):
-            crit_r, phi_r = problem.criterion_and_sensitivity(refined)
-            if phi_r is None:
-                break
-            saturated, interior, zero = _classify(refined, cap, tol)
-            if _ordering_violation(phi_r, saturated, interior, zero) <= tol:
-                break
-            outside = np.flatnonzero(zero)
-            if outside.size == 0:
-                break
-            worst = outside[int(np.argmax(phi_r[outside]))]
-            level = phi_r[interior].max() if interior.any() else phi_r[saturated].min()
-            if phi_r[worst] <= level:
-                break
-            support = support.copy()
-            support[worst] = True
-            refined = _solve_on_support(problem, support, refined)
-        candidate_weights.append(refined)
-
-    best: tuple[np.ndarray, float, np.ndarray] | None = None
-    best_key: tuple[int, float] | None = None
-    for cand in candidate_weights:
-        cand_crit, cand_phi = problem.criterion_and_sensitivity(cand)
-        if cand_phi is None or cand_crit > crit * (1.0 + _DESCENT_SLACK):
-            continue
-        saturated, interior, zero = _classify(cand, cap, tol)
-        violation = _ordering_violation(cand_phi, saturated, interior, zero)
-        key = (0 if violation <= tol else 1, cand_crit)
-        if best_key is None or key < best_key:
-            best, best_key = (cand, cand_crit, cand_phi), key
-    if best is not None and (best_key[0] == 0 or best[1] < crit * (1.0 - 1e-14)):
-        return best
-    return None
-
-
-def _mask(n: int, idx: Sequence[int]) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    out[list(idx)] = True
-    return out
-
-
 def optimize_capped_weights(
     vectors: np.ndarray,
     c: np.ndarray,
@@ -402,66 +304,48 @@ def optimize_capped_weights(
     Generic engine shared by the time-plan and destructive-design fronts;
     rows of ``vectors`` are the candidate regression vectors v_j.  Returns
     the weight vector over all candidates together with its certificate.
-    ``callback(iteration, criterion, weights)`` is invoked once per accepted
-    iterate, which test suites use to watch feasibility and monotonicity.
+    ``callback(iteration, criterion, weights)`` is invoked at the start and
+    after every step, which test suites use to watch feasibility and
+    monotonicity; the criterion passed is the start value less the exact
+    decrease of each step.  The loop stops when phi on the unsaturated
+    points exceeds phi on the supported points by at most tol, which bounds
+    the certificate's violation, or after cfg.max_iters steps.
     """
     problem = _CappedCProblem(vectors, c, cap)
-    n = problem.n
-    if n * cap < 1.0 - 1e-12:
-        raise InfeasibleDesignError(f"cap {cap} over {n} candidate points cannot reach total weight 1")
+    if problem.n * cap < 1.0 - 1e-12:
+        raise InfeasibleDesignError(f"cap {cap} over {problem.n} candidate points cannot reach total weight 1")
 
-    w = np.full(n, 1.0 / n)
+    w = problem.start()
     crit, phi = problem.criterion_and_sensitivity(w)
-    if phi is None:
-        raise InfeasibleDesignError(
-            "the candidate set does not span the target direction; criterion is singular at the uniform start"
-        )
+    iteration = 0
+
+    def step(move: Callable[..., float | None], *args: object) -> bool:
+        """Apply one move within the budget; report it to the callback."""
+        nonlocal crit, iteration
+        decrease = move(*args) if iteration < cfg.max_iters else None
+        if decrease is None:
+            return False
+        crit, iteration = crit - decrease, iteration + 1
+        if callback is not None:
+            callback(iteration, crit, w.copy())
+        return True
+
     if callback is not None:
         callback(0, crit, w.copy())
-
-    stall = 0
-    iteration = 0
     while iteration < cfg.max_iters:
-        iteration += 1
-
-        accepted = False
-        lam = cfg.damping
-        for _ in range(60):
-            # phibar = sum w phi = 1 by the normalization of phi.
-            trial = project_capped_simplex(w * np.power(phi, lam), problem.cap)
-            trial_crit, trial_phi = problem.criterion_and_sensitivity(trial)
-            if trial_phi is not None and trial_crit <= crit * (1.0 + _DESCENT_SLACK):
-                accepted = True
-                break
-            lam *= 0.5
-        if accepted:
-            rel_change = abs(crit - trial_crit) / max(crit, 1e-300)
-            w, crit, phi = trial, trial_crit, trial_phi
-            if callback is not None:
-                callback(iteration, crit, w.copy())
-            stall = stall + 1 if rel_change <= _STALL_REL_CHANGE else 0
-        else:
-            stall += 1
-
-        saturated, interior, zero = _classify(w, problem.cap, cfg.tol)
-        if _ordering_violation(phi, saturated, interior, zero) <= cfg.tol:
+        positive, open_ = np.flatnonzero(w > 0.0), np.flatnonzero(w < problem.cap)
+        if open_.size == 0:
             break
-
-        stopping = stall >= _STALL_LIMIT or iteration >= cfg.max_iters
-        if stopping or iteration % _POLISH_PERIOD == 0:
-            polished = _polish(problem, w, crit, phi, cfg.tol)
-            if polished is not None:
-                w, crit, phi = polished
-                if callback is not None:
-                    callback(iteration, crit, w.copy())
-                saturated, interior, zero = _classify(w, problem.cap, cfg.tol)
-                if _ordering_violation(phi, saturated, interior, zero) <= cfg.tol:
-                    break
-                # The polish made progress; give the loop another lease.
-                stall = 0
-                stopping = iteration >= cfg.max_iters
-        if stopping:
+        d = positive[np.argmin(phi[positive])]
+        r = open_[np.argmax(phi[open_])]
+        if phi[r] - phi[d] <= cfg.tol or not step(problem.exchange, w, r, d):
             break
+        interior = np.flatnonzero((w > 0.0) & (w < problem.cap)).tolist()
+        for a, i in enumerate(interior):
+            for j in interior[a + 1 :]:
+                step(problem.exchange, w, i, j, cfg.tol)
+        step(problem.finish, w)
+        _, phi = problem.criterion_and_sensitivity(w)
 
     return w, _certificate(w, phi, problem.cap, cfg.tol, iteration)
 
@@ -484,10 +368,11 @@ def optimize_time_plan(
 ) -> tuple[ApproximateDesign, OptimalityCertificate]:
     """Constrained c-optimal time plan on the grid, with certificate.
 
-    The returned design keeps only the points with nonzero weight; the
-    certificate's index sets and sensitivity refer to the full grid.  A
-    failed certificate (max_violation > tol) marks a non-converged run; the
-    best iterate found is still returned.
+    The returned design keeps only the points whose weight exceeds the
+    certificate's tolerance (see support_design); the certificate's index
+    sets and sensitivity refer to the full grid.  A failed certificate
+    (max_violation > tol) marks a non-converged run; the last iterate,
+    which is the best, is still returned.
     """
     # k = 1 is the unconstrained sentinel (cap 1, destructive-style single
     # measurements); identifiability then rests on the support found, not
@@ -501,9 +386,23 @@ def optimize_time_plan(
     pts = grid.points()
     vectors, c = _time_problem(model, pts, t_star)
     w, cert = optimize_capped_weights(vectors, c, grid.cap, cfg, callback)
-    keep = w > 0.0
-    design = ApproximateDesign(points=tuple(pts[keep]), weights=tuple(w[keep]))
-    return design, cert
+    return support_design(pts, w, grid.cap, cert.tol), cert
+
+
+def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) -> ApproximateDesign:
+    """Design on the grid points whose weight exceeds tol, the certificate's weight tolerance.
+
+    Each weight cut off goes to the nearest unsaturated point kept: its
+    regression vector is the closest, so the sensitivities move least, and
+    saturated weights stay at the cap.
+    """
+    w = w.copy()
+    free = np.flatnonzero((w > tol) & (w < cap - tol))
+    for j in np.flatnonzero((w > 0.0) & (w <= tol)):
+        if free.size:
+            w[free[np.argmin(np.abs(free - j))]] += w[j]
+        w[j] = 0.0
+    return ApproximateDesign(points=tuple(points[w > 0.0]), weights=tuple(w[w > 0.0]))
 
 
 def _design_on_grid(design: ApproximateDesign, grid_points: np.ndarray) -> np.ndarray:
@@ -590,7 +489,8 @@ def round_to_exact(
         return design
 
     if candidates.size <= 2:
-        choices = list(itertools.combinations(candidates.tolist(), n_slots))
+        pool = candidates.tolist()  # n_slots is 1 or 2 here
+        choices = [tuple(pool)] if n_slots == len(pool) else [(i,) for i in pool]
     else:
         # Greedy by sensitivity at the input design.
         vectors, c = _time_problem(model, ts, t_star)

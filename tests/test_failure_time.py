@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from adtplan import (
     DegenerateVarianceError,
@@ -25,6 +25,7 @@ from adtplan import (
     sigma_u,
     sigma_u2,
 )
+from adtplan.failure_time import _H_TOL
 from conftest import T_MEDIAN, random_affine_model
 
 
@@ -159,8 +160,6 @@ class TestQuantile:
         )
         d1 = 1.0 + 0.5 * -0.2
         d2 = 1.0 + 0.1 * -0.2
-        from scipy.special import ndtri
-
         for alpha in (0.2, 0.5, 0.8):
             res = quantile(alpha, model)
             expected = (2.0 - d1 + float(ndtri(alpha)) * 0.2) / d2
@@ -188,10 +187,17 @@ class TestQuantile:
             assert res.exists
             assert res.t_alpha == pytest.approx(t0, rel=1e-9)
 
-    @given(data=st.data())
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        t0=st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+    )
+    @example(seed=14684, t0=2.74609375)
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_random_nonnegative_rho(self, data: st.DataObject) -> None:
-        seed = data.draw(st.integers(min_value=0, max_value=2**31))
+    def test_round_trip_random_nonnegative_rho(self, seed: int, t0: float) -> None:
+        # The round trip is asserted on the margin scale, where it is well
+        # conditioned.  On the time scale it is not: at the pinned example
+        # alpha = 1 - 4.9e-12, and one ulp of alpha moves t_alpha by 2.9e-7
+        # relative.
         rng = np.random.default_rng(seed)
         model = random_affine_model(rng)
         if model.sigma_gamma_matrix()[0, 1] < 0.0:
@@ -201,13 +207,12 @@ class TestQuantile:
                     tuple(abs(v) for v in row) for row in model.sigma_gamma
                 ),
             )
-        t0 = data.draw(st.floats(min_value=0.05, max_value=3.0, allow_nan=False))
         alpha = failure_cdf(t0, model)
         if not (1e-12 < alpha < 1.0 - 1e-12):
             return
         res = quantile(alpha, model)
         assert res.exists
-        assert res.t_alpha == pytest.approx(t0, rel=1e-7)
+        assert abs(h(res.t_alpha, model) - float(ndtri(alpha))) <= _H_TOL
 
     def test_bounds_bracket_the_root(self, table1: DegradationModel) -> None:
         res = quantile(0.9, table1)

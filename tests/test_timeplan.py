@@ -1,4 +1,4 @@
-"""Capped-grid optimizer for time plans: projection, certificates, rounding."""
+"""Capped-grid optimizer for time plans: exchange engine, certificates, rounding."""
 
 from __future__ import annotations
 
@@ -20,10 +20,13 @@ from adtplan import (
     ValidationError,
     c_criterion_time,
     kkt_check,
+    median_failure_time,
+    numeric_destructive_time_design,
+    optimize_capped_weights,
     optimize_time_plan,
-    project_capped_simplex,
     round_to_exact,
     two_point_extrapolation_design,
+    weighted_f2,
 )
 from conftest import T_MEDIAN
 
@@ -49,56 +52,116 @@ class TestGridSpec:
         with pytest.raises(InfeasibleDesignError):
             GridSpec(J=4, k=6)
 
-    def test_cap_forces_uniform_when_tight(self) -> None:
-        # k = J + 1 leaves a single feasible point: uniform weights at cap.
-        grid = GridSpec(J=2, k=3)
-        w = project_capped_simplex(np.array([0.9, 0.05, 0.05]), grid.cap)
-        assert np.allclose(w, np.full(3, 1 / 3))
+    def test_cap_forces_uniform_when_tight(self, table1: DegradationModel) -> None:
+        # k = J + 1 leaves a single feasible design: uniform weights at cap.
+        design, cert = optimize_time_plan(GridSpec(J=2, k=3), table1, T_MEDIAN)
+        assert cert.certified
+        assert design.points == (0.0, 0.5, 1.0)
+        assert design.weights == (1 / 3,) * 3
 
     def test_optimizer_config_validation(self) -> None:
         with pytest.raises(ValidationError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValidationError):
             OptimizerConfig(tol=0.0)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(damping=1.5)
 
 
-class TestProjection:
-    @given(
-        v=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=12),
-        cap_mult=st.floats(1.001, 4.0),
+def _quadratic_model() -> DegradationModel:
+    return DegradationModel(
+        stress_basis=PowerBasis(1),
+        time_basis=PowerBasis(2),
+        beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
+        sigma_gamma=(
+            (0.114**2, 0.0, 0.0),
+            (0.0, 0.105**2, 0.0),
+            (0.0, 0.0, 0.05**2),
+        ),
+        error_spec=ErrorSpec(sigma_eps=0.048),
+        x_u=-0.056,
+        y0=3.912,
     )
-    @settings(max_examples=300, deadline=None)
-    def test_kkt_characterization(self, v: list[float], cap_mult: float) -> None:
-        arr = np.array(v)
-        cap = min(1.0, cap_mult / arr.size)
-        w = project_capped_simplex(arr, cap)
-        assert math.fsum(w) == pytest.approx(1.0, abs=1e-9)
-        assert np.all(w >= -1e-12) and np.all(w <= cap + 1e-12)
-        # Projection KKT: w = clip(v - lam, 0, cap) for a single multiplier lam.
-        interior = (w > 1e-10) & (w < cap - 1e-10)
-        lam_lo = np.max(arr[w <= 1e-10], initial=-np.inf)
-        lam_hi = np.min(arr[w >= cap - 1e-10] - cap, initial=np.inf)
-        if interior.any():
-            lams = arr[interior] - w[interior]
-            assert np.ptp(lams) < 1e-8
-            lam = float(np.mean(lams))
-            assert lam_lo - 1e-8 <= lam <= lam_hi + 1e-8
-        else:
-            assert lam_lo <= lam_hi + 1e-8
 
-    @given(v=st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=12))
+
+class TestExchangeEngine:
+    @given(
+        degree=st.integers(1, 3),
+        J=st.integers(8, 120),
+        k_slot=st.floats(0.0, 1.0),
+        capped=st.booleans(),
+        # Extrapolation only: for t* <= 1 the optimum can be a singular design,
+        # which the iterates approach through ill-conditioned matrices.
+        t_star=st.floats(1.05, 6.0),
+    )
     @settings(max_examples=100, deadline=None)
-    def test_idempotent(self, v: list[float]) -> None:
-        arr = np.array(v)
-        cap = 2.0 / arr.size
-        w = project_capped_simplex(arr, cap)
-        assert np.allclose(project_capped_simplex(w, cap), w, atol=1e-10)
+    def test_iterates_feasible_and_monotone(
+        self, degree: int, J: int, k_slot: float, capped: bool, t_star: float
+    ) -> None:
+        basis = PowerBasis(degree)
+        vectors = basis.evaluate_many(np.arange(J + 1) / J) / 0.048
+        c = basis.evaluate(t_star)
+        k = min(degree + 1 + int(k_slot * 48), J + 1)
+        cap = 1.0 / k if capped else 1.0
+        values: list[float] = []
 
-    def test_infeasible_cap(self) -> None:
-        with pytest.raises(InfeasibleDesignError):
-            project_capped_simplex(np.array([0.5, 0.5]), 0.4)
+        def watch(it: int, value: float, w: np.ndarray) -> None:
+            assert it == len(values)
+            assert math.fsum(w) == pytest.approx(1.0, abs=1e-9)
+            assert np.all(w >= 0.0) and np.all(w <= cap)
+            values.append(value)
+
+        w, cert = optimize_capped_weights(vectors, c, cap, OptimizerConfig(max_iters=300), callback=watch)
+        assert len(values) == cert.iterations + 1
+        diffs = np.diff(values)
+        assert np.all(diffs <= 1e-13 * np.abs(values[:-1]))
+        # The reported path ends at the criterion of the returned weights.
+        M = (vectors * w[:, None]).T @ vectors
+        assert values[-1] == pytest.approx(float(c @ np.linalg.solve(M, c)), rel=1e-9)
+
+    @pytest.mark.parametrize("J, k, t_star", [(100, 3, 1.1), (400, 10, 5.0), (1000, 10, 1.1)])
+    def test_affine_plans_certify(self, table1: DegradationModel, J: int, k: int, t_star: float) -> None:
+        # Regression: ordinary affine plans that once stayed uncertified after 3000 iterations.
+        design, cert = optimize_time_plan(GridSpec(J=J, k=k), table1, t_star)
+        assert cert.certified
+        assert cert.iterations < 100
+
+    def test_quadratic_cap1_design(self) -> None:
+        # Regression: this design once raised a bare root-bracketing ValueError.
+        quad = _quadratic_model()
+        t_star = median_failure_time(quad)
+        assert t_star == pytest.approx(1.0458, abs=1e-4)
+        tau, cert = numeric_destructive_time_design(quad, t_star, GridSpec(J=100, k=1))
+        assert cert.certified
+        assert tau.points == (0.0, 0.46, 1.0)
+        V = np.array([weighted_f2(t, quad) for t in tau.points])
+        M = (V * np.array(tau.weights)[:, None]).T @ V
+        c = quad.time_basis.evaluate(t_star)
+        assert float(c @ np.linalg.solve(M, c)) == pytest.approx(0.0508714357, rel=1e-9)
+
+    def test_cubic_cap1_design_is_exact(self) -> None:
+        # Three free weights on a four-point support: the closed-form finish
+        # takes the certificate far below the pair steps' 1e-7 stopping gap.
+        cubic = DegradationModel(
+            stress_basis=PowerBasis(1),
+            time_basis=PowerBasis(3),
+            beta=(2.397, 1.018, 0.5, 0.1, 1.629, 0.0696, 0.02, 0.01),
+            sigma_gamma=np.diag(np.square((0.1, 0.1, 0.05, 0.05))).tolist(),
+            error_spec=ErrorSpec(sigma_eps=0.048),
+            x_u=-0.056,
+            y0=3.912,
+        )
+        tau, cert = numeric_destructive_time_design(cubic, 1.05, GridSpec(J=400, k=1))
+        assert cert.certified
+        assert len(tau.points) == 4
+        assert cert.max_violation <= 1e-10
+
+    @pytest.mark.parametrize("J, k, t_star", [(20, 6, 1.1), (28, 28, 1.587)])
+    def test_no_dust_support_points(self, table1: DegradationModel, J: int, k: int, t_star: float) -> None:
+        # Both once came back with an extra point of weight below 1e-7.
+        design, cert = optimize_time_plan(GridSpec(J=J, k=k), table1, t_star)
+        assert cert.certified
+        assert len(design.points) == k
+        assert all(w == pytest.approx(1 / k, abs=1e-12) for w in design.weights)
+        assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOptimizeTimePlan:
@@ -134,8 +197,9 @@ class TestOptimizeTimePlan:
         assert np.all(diffs <= 1e-13 * np.abs(values[:-1]) + 1e-300)
 
     def test_iteration_budget_reported_honestly(self, table1: DegradationModel) -> None:
+        # This plan needs five exchange steps; one is not enough.
         design, cert = optimize_time_plan(
-            GridSpec(J=400, k=1), table1, T_MEDIAN, OptimizerConfig(max_iters=1)
+            GridSpec(J=400, k=20), table1, T_MEDIAN, OptimizerConfig(max_iters=1)
         )
         assert not cert.certified
         assert cert.iterations == 1
@@ -143,19 +207,7 @@ class TestOptimizeTimePlan:
 
     def test_k_below_basis_dim_is_infeasible(self, table1: DegradationModel) -> None:
         # k = 1 is the destructive regime and stays allowed; 2 <= k < dim is not.
-        quad = DegradationModel(
-            stress_basis=PowerBasis(1),
-            time_basis=PowerBasis(2),
-            beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
-            sigma_gamma=(
-                (0.114**2, 0.0, 0.0),
-                (0.0, 0.105**2, 0.0),
-                (0.0, 0.0, 0.05**2),
-            ),
-            error_spec=ErrorSpec(sigma_eps=0.048),
-            x_u=-0.056,
-            y0=3.912,
-        )
+        quad = _quadratic_model()
         with pytest.raises(InfeasibleDesignError):
             optimize_time_plan(GridSpec(J=20, k=2), quad, T_MEDIAN)
         design, _ = optimize_time_plan(GridSpec(J=50, k=1), table1, T_MEDIAN)
