@@ -47,21 +47,21 @@ from .model import ApproximateDesign, DegradationModel, eval_delta
 from .scenario import Scenario, load_scenario
 from .sweeps import (
     ALL_CANDIDATES,
-    CANDIDATE_TAU2,
-    CANDIDATE_TAU6,
     CANDIDATE_ZETA_STAR,
-    SweepSpec,
+    candidate_time_designs,
     default_sweep_spec,
     sweep_efficiency,
-    uniform_time_design,
 )
-from .timeplan import GridSpec, OptimizerConfig, kkt_check, optimize_time_plan
+from .timeplan import GridSpec, OptimizerConfig, design_sensitivity, kkt_check, optimize_time_plan
 
 __all__ = ["main"]
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NOT_CERTIFIED = 3
+
+# Report keys and sweep columns of the candidates, in ALL_CANDIDATES order.
+_EFF_KEYS = ("eff_zeta_star", "eff_tau2", "eff_tau6")
 
 _IDENTIFIABILITY_NOTE = (
     "k = 1 takes a single measurement per unit; the split between measurement "
@@ -264,17 +264,9 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
 
     path = _out_path(args, scenario)
     if path is not None:
-        M = sum(
-            w * np.outer(weighted_f2(t, model), weighted_f2(t, model))
-            for t, w in zip(tau.points, tau.weights)
-        )
-        c = model.time_basis.evaluate(t_star)
-        Minv_c = np.linalg.solve(M, c)
-        denom = float(c @ Minv_c)
-        rows = []
-        for t, w in zip(tau.points, tau.weights):
-            sens = float(weighted_f2(t, model) @ Minv_c) ** 2 / denom
-            rows.append((t, w, sens, w >= 1.0 - 1e-9))
+        vectors = np.array([weighted_f2(t, model) for t in tau.points])
+        sens = design_sensitivity(vectors, model.time_basis.evaluate(t_star), np.array(tau.weights))
+        rows = [(t, w, s, w >= 1.0 - 1e-9) for t, w, s in zip(tau.points, tau.weights, sens.tolist())]
         text = _design_json(rows) if _out_format(scenario) == "json" else _design_csv(rows)
         _atomic_write(path, text)
         _emit("out", path)
@@ -285,24 +277,17 @@ def cmd_efficiency(args: argparse.Namespace, scenario: Scenario) -> int:
     model = scenario.model
     t_star = _resolve_t_star(args, model)
     xi = elfving_stress_design(model)
-    local = product_design(xi, elfving_time_design(model, t_star))
-    crit_local = c_criterion_single_obs(local, model, t_star)
+    criteria = {
+        name: c_criterion_single_obs(product_design(xi, tau), model, t_star)
+        for name, tau in candidate_time_designs(ALL_CANDIDATES, model, t_star).items()
+    }
+    crit_local = criteria[CANDIDATE_ZETA_STAR]
     _emit("command", "efficiency")
     _model_lines(model)
     _emit("t_star", t_star)
     _emit("criterion_optimal", crit_local)
-    for name, key in (
-        (CANDIDATE_ZETA_STAR, "eff_zeta_star"),
-        (CANDIDATE_TAU2, "eff_tau2"),
-        (CANDIDATE_TAU6, "eff_tau6"),
-    ):
-        if name == CANDIDATE_ZETA_STAR:
-            cand = local
-        elif name == CANDIDATE_TAU2:
-            cand = product_design(xi, uniform_time_design(2))
-        else:
-            cand = product_design(xi, uniform_time_design(6))
-        _emit(key, crit_local / c_criterion_single_obs(cand, model, t_star))
+    for name, key in zip(ALL_CANDIDATES, _EFF_KEYS):
+        _emit(key, crit_local / criteria[name])
     return _EXIT_OK
 
 
@@ -336,7 +321,7 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
                 for name in ALL_CANDIDATES
             ]
             rows.append([r.abscissa, r.pi_star, *effs])
-        header = ["abscissa", "pi_star", "eff_zeta_star", "eff_tau2", "eff_tau6"]
+        header = ["abscissa", "pi_star", *_EFF_KEYS]
         if _out_format(scenario) == "json":
             text = _sweep_json(header, rows)
         else:

@@ -41,7 +41,6 @@ __all__ = [
     "product_design",
     "info_single_obs",
     "c_criterion_single_obs",
-    "elfving_brute_force_oracle",
     "numeric_destructive_time_design",
 ]
 
@@ -119,11 +118,12 @@ def pi_star_from_ratio(t_star: float, ratio: float) -> float:
 
     pi* = t* r / (t* r + t* - 1); the two-point Elfving design depends on the
     variance function only through this ratio.  Strictly increasing in r and
-    strictly decreasing in t*, with limit r/(1 + r) as t* grows.
+    strictly decreasing in t*, with limit r/(1 + r) as t* grows.  Either
+    argument may be a numpy array; pi* is then taken elementwise.
     """
-    if not (t_star > 1.0):
+    if not np.all(np.greater(t_star, 1.0)):
         raise OutOfRegimeError(f"two-point extrapolation needs t_star > 1, got {t_star}")
-    if not (ratio > 0.0):
+    if not np.all(np.greater(ratio, 0.0)):
         raise ValidationError(f"variance ratio must be positive, got {ratio}")
     return t_star * ratio / (t_star * ratio + t_star - 1.0)
 
@@ -204,41 +204,6 @@ def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_sta
             "single-observation information is singular; design does not identify all coefficients"
         ) from None
     return float(y @ y)
-
-
-def elfving_brute_force_oracle(model: DegradationModel, t_star: float, grid_n: int) -> ApproximateDesign:
-    """Best two-point weighted time design by exhaustive support search.
-
-    For every support pair (a, b) on a grid_n-point grid the target vector is
-    expanded as c = alpha v_a + beta v_b in the weighted basis; the c-optimal
-    weights are then |alpha| : |beta| with criterion value (|alpha| + |beta|)^2.
-    Validation oracle for the closed-form Elfving constructions; quadratic in
-    grid_n, so test-sized grids only.
-    """
-    if grid_n < 2:
-        raise ValidationError(f"grid_n must be at least 2, got {grid_n}")
-    if model.time_basis.dim != 2:
-        raise ValidationError("two-point oracle applies to two-parameter time bases")
-    ts = np.arange(grid_n) / (grid_n - 1)
-    vs = np.array([weighted_f2(t, model) for t in ts])
-    c = model.time_basis.evaluate(t_star)
-    best: tuple[float, int, int, float] | None = None
-    for i in range(grid_n):
-        for j in range(i + 1, grid_n):
-            A = np.column_stack([vs[i], vs[j]])
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            if abs(det) < 1e-14:
-                continue
-            alpha = (c[0] * A[1, 1] - c[1] * A[0, 1]) / det
-            beta = (A[0, 0] * c[1] - A[1, 0] * c[0]) / det
-            value = (abs(alpha) + abs(beta)) ** 2
-            if best is None or value < best[0] * (1.0 - 1e-15):
-                w_i = abs(alpha) / (abs(alpha) + abs(beta))
-                best = (value, i, j, w_i)
-    if best is None:
-        raise SingularDesignError("no support pair spans the target direction")
-    _, i, j, w_i = best
-    return ApproximateDesign(points=(float(ts[i]), float(ts[j])), weights=(w_i, 1.0 - w_i))
 
 
 def numeric_destructive_time_design(

@@ -8,7 +8,12 @@ candidate zeta at a true parameter value theta is
     eff(zeta; theta) = c' M(zeta*_theta)^-1 c / c' M(zeta)^-1 c
 
 in the single-observation model, where zeta*_theta is locally optimal at
-theta.  Ratio sweeps vary the ratio through the correlation rho under the
+theta.  Candidates and local optima share the Elfving stress design, so its
+factor cancels and each efficiency is a ratio of time criteria on f2(t)/sigma(t):
+with q_j = w_j / sigma^2(t_j), a time design scores
+sum_j q_j (t - t_j)^2 / sum_{i<j} q_i q_j (t_i - t_j)^2 and the local optimum
+(sigma(0)(t - 1) + sigma(1) t)^2 (Elfving 1952), for whole columns at once.
+Ratio sweeps vary the ratio through the correlation rho under the
 convention sigma1^2 = sigma2^2 + sigma_eps^2, which reaches only a bounded
 ratio interval; rows outside it carry pi* (a function of the ratio alone)
 but no efficiencies, and are flagged.
@@ -21,18 +26,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .destructive import (
-    VarianceFunction,
-    ProductDesign,
-    c_criterion_single_obs,
-    elfving_stress_design,
-    elfving_time_design,
-    pi_star_from_ratio,
-    product_design,
-)
+from .destructive import VarianceFunction, elfving_stress_design, elfving_time_design, pi_star_from_ratio
 from .errors import OutOfRegimeError, ValidationError
 from .failure_time import median_failure_time
 from .model import ApproximateDesign, DegradationModel, sigma_gamma_from_sd_corr
@@ -46,6 +44,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "uniform_time_design",
+    "candidate_time_designs",
     "vary_ratio_via_rho",
     "reachable_ratio_interval",
     "sweep_pi_star",
@@ -59,6 +58,9 @@ CANDIDATE_TAU6 = "xi_tau6"
 ALL_CANDIDATES = (CANDIDATE_ZETA_STAR, CANDIDATE_TAU2, CANDIDATE_TAU6)
 
 _VARIABLES = ("t_median", "sigma_ratio")
+
+# A ratio counts as reachable while |rho| <= 1 + _RHO_SLACK; rho is then clipped to [-1, 1].
+_RHO_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,18 @@ def reachable_ratio_interval(model: DegradationModel) -> tuple[float, float]:
     return lo, hi
 
 
+def _rho_for_ratios(ratios: float | np.ndarray, model: DegradationModel) -> tuple[float, float, np.ndarray]:
+    """sigma1, sigma2 and the unclipped rho that give each ratio; see vary_ratio_via_rho."""
+    sg = model.sigma_gamma_matrix()
+    s2 = math.sqrt(sg[1, 1])
+    if s2 == 0.0:
+        raise ValidationError("rho reparameterization needs sigma2 > 0")
+    se = model.sigma_eps
+    s1 = math.sqrt(s2**2 + se**2)
+    rho = (np.square(ratios) * (s1**2 + se**2) - s1**2 - s2**2 - se**2) / (2.0 * s1 * s2)
+    return s1, s2, rho
+
+
 def vary_ratio_via_rho(target_ratio: float, model: DegradationModel) -> DegradationModel:
     """Reparameterize the variance components to hit a target sigma(1)/sigma(0).
 
@@ -175,20 +189,14 @@ def vary_ratio_via_rho(target_ratio: float, model: DegradationModel) -> Degradat
     """
     if not (target_ratio > 0.0):
         raise ValidationError(f"target ratio must be positive, got {target_ratio}")
-    sg = model.sigma_gamma_matrix()
-    s2 = math.sqrt(sg[1, 1])
-    if s2 == 0.0:
-        raise ValidationError("rho reparameterization needs sigma2 > 0")
-    se = model.sigma_eps
-    s1 = math.sqrt(s2**2 + se**2)
-    rho = (target_ratio**2 * (s1**2 + se**2) - s1**2 - s2**2 - se**2) / (2.0 * s1 * s2)
-    if abs(rho) > 1.0 + 1e-12:
+    s1, s2, rho = _rho_for_ratios(target_ratio, model)
+    if abs(rho) > 1.0 + _RHO_SLACK:
         lo, hi = reachable_ratio_interval(model)
         raise ValidationError(
             f"ratio {target_ratio} is not reachable with |rho| <= 1 under "
             f"sigma1^2 = sigma2^2 + sigma_eps^2; reachable interval is [{lo:.6f}, {hi:.6f}]"
         )
-    rho = min(1.0, max(-1.0, rho))
+    rho = min(1.0, max(-1.0, float(rho)))
     return dataclasses.replace(model, sigma_gamma=sigma_gamma_from_sd_corr(s1, s2, rho))
 
 
@@ -203,42 +211,52 @@ def _resolve_nominals(spec: SweepSpec, model: DegradationModel) -> tuple[Degrada
     return model, t_star
 
 
+def _pi_star_column(spec: SweepSpec, base: DegradationModel, t_star: float) -> np.ndarray:
+    """pi* at every abscissa: of t* at the base ratio, or of the ratio at t*."""
+    if spec.variable == "t_median":
+        return pi_star_from_ratio(spec.abscissae(), VarianceFunction(base).ratio_end_over_start())
+    return pi_star_from_ratio(t_star, spec.abscissae())
+
+
+def _result(
+    spec: SweepSpec, base: DegradationModel, pi: np.ndarray, effs: np.ndarray, reachable: np.ndarray
+) -> SweepResult:
+    rows = zip(spec.abscissae().tolist(), pi.tolist(), effs.tolist(), reachable.tolist())
+    return SweepResult(
+        spec=spec,
+        rows=tuple(SweepRow(abscissa=a, pi_star=p, efficiencies=tuple(e), reachable=r) for a, p, e, r in rows),
+        nominal_t_median=median_failure_time(base),
+        nominal_ratio=VarianceFunction(base).ratio_end_over_start(),
+    )
+
+
 def sweep_pi_star(spec: SweepSpec, model: DegradationModel) -> SweepResult:
     """Optimal endpoint weight along the sweep, efficiencies left empty.
 
-    t_median rows recompute the closed-form design at each abscissa; ratio
-    rows use pi* as a function of the ratio directly, so every positive
-    ratio tabulates even where the rho reparameterization cannot reach.
+    t_median rows evaluate the closed-form design's pi* at each abscissa;
+    ratio rows use pi* as a function of the ratio directly, so every
+    positive ratio tabulates even where the rho reparameterization cannot
+    reach.
     """
     if not model.time_basis.is_affine:
         raise ValidationError("pi* sweeps require the affine time basis")
     base, t_star = _resolve_nominals(spec, model)
-    ratio_nominal = VarianceFunction(base).ratio_end_over_start()
-    rows = []
-    for a in spec.abscissae():
-        if spec.variable == "t_median":
-            pi1 = elfving_time_design(base, float(a)).weights[1]
-        else:
-            pi1 = pi_star_from_ratio(t_star, float(a))
-        rows.append(SweepRow(abscissa=float(a), pi_star=pi1, efficiencies=()))
-    return SweepResult(
-        spec=spec,
-        rows=tuple(rows),
-        nominal_t_median=median_failure_time(base),
-        nominal_ratio=ratio_nominal,
-    )
+    n = spec.n_points
+    return _result(spec, base, _pi_star_column(spec, base, t_star), np.empty((n, 0)), np.ones(n, dtype=bool))
 
 
-def _candidate_designs(spec: SweepSpec, model: DegradationModel, t_star: float) -> dict[str, ProductDesign]:
-    xi = elfving_stress_design(model)
-    built: dict[str, ProductDesign] = {}
-    for name in spec.candidates:
+def candidate_time_designs(names: Sequence[str], model: DegradationModel, t_star: float) -> dict[str, ApproximateDesign]:
+    """Time designs of the named candidate plans, built at (model, t_star).
+
+    Every candidate crosses its time design with the model's Elfving stress
+    design, so the time design is all that tells candidates apart.
+    """
+    built: dict[str, ApproximateDesign] = {}
+    for name in names:
         if name == CANDIDATE_ZETA_STAR:
-            built[name] = product_design(xi, elfving_time_design(model, t_star))
-        elif name == CANDIDATE_TAU2:
-            built[name] = product_design(xi, uniform_time_design(2))
+            built[name] = elfving_time_design(model, t_star)
         else:
-            built[name] = product_design(xi, uniform_time_design(6))
+            built[name] = uniform_time_design(2 if name == CANDIDATE_TAU2 else 6)
     return built
 
 
@@ -246,50 +264,46 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
     """Efficiency of the fixed candidate plans against the local optimum.
 
     Candidates are built once at the nominal parameters and held fixed; the
-    locally optimal plan and all information matrices are recomputed at each
-    abscissa.  Ratio rows that the rho reparameterization cannot reach are
-    flagged and carry NaN efficiencies.
+    locally optimal plan and the variance function are re-evaluated at each
+    abscissa, in the closed forms of the module docstring.  Ratio rows that
+    the rho reparameterization cannot reach are flagged and carry NaN
+    efficiencies.
     """
     if not (model.time_basis.is_affine and model.stress_basis.is_affine):
         raise ValidationError("efficiency sweeps require affine stress and time bases")
     base, t_nom = _resolve_nominals(spec, model)
-    candidates = _candidate_designs(spec, base, t_nom)
-    xi = elfving_stress_design(base)
-    ratio_nominal = VarianceFunction(base).ratio_end_over_start()
-    rows = []
-    for a in spec.abscissae():
-        a = float(a)
-        if spec.variable == "t_median":
-            m_true, t_true = base, a
-            pi1 = elfving_time_design(base, a).weights[1]
-        else:
-            pi1 = pi_star_from_ratio(t_nom, a)
-            t_true = t_nom
-            try:
-                m_true = vary_ratio_via_rho(a, base)
-            except ValidationError:
-                rows.append(
-                    SweepRow(
-                        abscissa=a,
-                        pi_star=pi1,
-                        efficiencies=(math.nan,) * len(spec.candidates),
-                        reachable=False,
-                    )
-                )
-                continue
-        local = product_design(xi, elfving_time_design(m_true, t_true))
-        crit_local = c_criterion_single_obs(local, m_true, t_true)
-        effs = tuple(
-            crit_local / c_criterion_single_obs(candidates[name], m_true, t_true)
-            for name in spec.candidates
-        )
-        rows.append(SweepRow(abscissa=a, pi_star=pi1, efficiencies=effs))
-    return SweepResult(
-        spec=spec,
-        rows=tuple(rows),
-        nominal_t_median=median_failure_time(base),
-        nominal_ratio=ratio_nominal,
-    )
+    elfving_stress_design(base)  # cancels from every efficiency; raises if x_u lies in [0, 1]
+    candidates = candidate_time_designs(spec.candidates, base, t_nom)
+    pi = _pi_star_column(spec, base, t_nom)
+    a = spec.abscissae()
+    sg = base.sigma_gamma_matrix()
+    if spec.variable == "t_median":
+        t, s00, s01, s11 = a, sg[0, 0], np.full((a.size, 1), sg[0, 1]), sg[1, 1]
+        reachable = np.ones(a.size, dtype=bool)
+    else:
+        t = np.full(a.size, t_nom)
+        if sg[1, 1] == 0.0:  # sigma2 = 0: moving rho reaches no ratio
+            nan = np.full((a.size, len(spec.candidates)), math.nan)
+            return _result(spec, base, pi, nan, np.zeros(a.size, dtype=bool))
+        s1, s2, rho = _rho_for_ratios(a, base)
+        reachable = np.abs(rho) <= 1.0 + _RHO_SLACK
+        s00, s01, s11 = s1**2, (np.clip(rho, -1.0, 1.0) * s1 * s2)[:, None], s2**2
+    se2 = base.sigma_eps**2
+
+    def variance(u: np.ndarray) -> np.ndarray:  # sigma^2, rows by abscissa, columns by u
+        return s00 + 2.0 * s01 * u + s11 * u * u + se2
+
+    sd = np.sqrt(variance(np.array([0.0, 1.0])))
+    best = (sd[:, 0] * (t - 1.0) + sd[:, 1] * t) ** 2
+    effs = np.empty((a.size, len(spec.candidates)))
+    for col, name in enumerate(spec.candidates):
+        pts, w = candidates[name].as_arrays()
+        q = w / variance(pts)
+        i, j = np.triu_indices(pts.size, 1)
+        spread = (q[:, i] * q[:, j] * (pts[i] - pts[j]) ** 2).sum(axis=1)
+        effs[:, col] = best / ((q * (t[:, None] - pts) ** 2).sum(axis=1) / spread)
+    effs[~reachable] = math.nan
+    return _result(spec, base, pi, effs, reachable)
 
 
 def default_sweep_spec(variable: str) -> SweepSpec:

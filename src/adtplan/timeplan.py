@@ -39,7 +39,7 @@ __all__ = [
     "support_design",
     "kkt_check",
     "round_to_exact",
-    "two_point_extrapolation_design",
+    "design_sensitivity",
 ]
 
 # Share of its norm a start point keeps outside the span of those chosen before.
@@ -405,6 +405,18 @@ def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) ->
     return ApproximateDesign(points=tuple(points[w > 0.0]), weights=tuple(w[w > 0.0]))
 
 
+def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sensitivity phi_j = (c' M^-1 v_j)^2 / (c' M^-1 c) of every row v_j of vectors.
+
+    M = sum_j w_j v_j v_j' is the information of the weights; phi is the
+    quantity the engine's certificate orders, and sum_j w_j phi_j = 1.
+    """
+    _, phi = _CappedCProblem(vectors, c, 1.0).criterion_and_sensitivity(np.asarray(weights, dtype=float))
+    if phi is None:
+        raise InfeasibleDesignError("design information is singular for the target direction")
+    return phi
+
+
 def _design_on_grid(design: ApproximateDesign, grid_points: np.ndarray) -> np.ndarray:
     w = np.zeros(grid_points.size)
     for t, wt in zip(design.points, design.weights):
@@ -428,12 +440,8 @@ def kkt_check(
     is a legitimate answer about a suboptimal design.
     """
     pts = grid.points()
-    vectors, c = _time_problem(model, pts, t_star)
-    problem = _CappedCProblem(vectors, c, grid.cap)
     w = _design_on_grid(design, pts)
-    crit, phi = problem.criterion_and_sensitivity(w)
-    if phi is None:
-        raise InfeasibleDesignError("design information is singular for the target direction")
+    phi = design_sensitivity(*_time_problem(model, pts, t_star), w)
     return _certificate(w, phi, grid.cap, tol, iterations=0)
 
 
@@ -493,11 +501,7 @@ def round_to_exact(
         choices = [tuple(pool)] if n_slots == len(pool) else [(i,) for i in pool]
     else:
         # Greedy by sensitivity at the input design.
-        vectors, c = _time_problem(model, ts, t_star)
-        problem = _CappedCProblem(vectors, c, cap)
-        _, phi = problem.criterion_and_sensitivity(ws)
-        if phi is None:
-            raise InfeasibleDesignError("design information is singular for the target direction")
+        phi = design_sensitivity(*_time_problem(model, ts, t_star), ws)
         ranked = sorted(candidates.tolist(), key=lambda i: (-phi[i], ts[i]))
         choices = [tuple(sorted(ranked[:n_slots]))]
 
@@ -512,22 +516,3 @@ def round_to_exact(
 
     best_choice = min(choices, key=score)
     return exact_design(best_choice)
-
-
-def two_point_extrapolation_design(model: DegradationModel, t_star: float) -> ApproximateDesign:
-    """Unconstrained c-optimal plan for affine paths: endpoints {0, 1} only.
-
-    pi(1) = t*/(2 t* - 1), pi(0) = (t* - 1)/(2 t* - 1); requires t* >= 1
-    (extrapolation beyond the horizon).  Decays to one point at t* = 1 and
-    approaches the balanced design as t* grows.
-    """
-    if not model.time_basis.is_affine:
-        raise ValidationError("closed-form two-point plan requires the affine time basis")
-    if not model.error_spec.is_homoscedastic:
-        raise ValidationError("closed-form two-point plan requires homoscedastic errors")
-    if t_star < 1.0:
-        raise ValidationError(
-            f"t_star = {t_star} < 1 is interpolation; use the grid optimizer instead"
-        )
-    pi1 = t_star / (2.0 * t_star - 1.0)
-    return ApproximateDesign(points=(0.0, 1.0), weights=(1.0 - pi1, pi1))

@@ -27,7 +27,6 @@ from adtplan import (
     c_criterion_time,
     default_sweep_spec,
     efficiency,
-    elfving_brute_force_oracle,
     elfving_stress_design,
     elfving_time_design,
     info_time_fixed_total,
@@ -42,6 +41,7 @@ from adtplan import (
     SweepSpec,
 )
 from conftest import TABLE1, random_affine_model
+from oracles import elfving_brute_force_oracle
 
 
 def _nominal() -> DegradationModel:

@@ -17,7 +17,6 @@ from adtplan import (
     ValidationError,
     VarianceFunction,
     c_criterion_single_obs,
-    elfving_brute_force_oracle,
     elfving_stress_design,
     elfving_time_design,
     info_single_obs,
@@ -28,6 +27,7 @@ from adtplan import (
     weighted_f2,
 )
 from conftest import T_MEDIAN, random_affine_model
+from oracles import elfving_brute_force_oracle
 
 
 class TestVarianceFunction:

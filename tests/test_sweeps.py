@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adtplan import (
     CANDIDATE_TAU2,
     CANDIDATE_TAU6,
     CANDIDATE_ZETA_STAR,
+    ConfigurationError,
     DegradationModel,
+    ErrorSpec,
+    PowerBasis,
     SweepRow,
     SweepSpec,
     SweepResult,
@@ -20,6 +26,7 @@ from adtplan import (
     VarianceFunction,
     default_sweep_spec,
     elfving_time_design,
+    median_failure_time,
     pi_star_from_ratio,
     reachable_ratio_interval,
     sweep_efficiency,
@@ -27,7 +34,9 @@ from adtplan import (
     uniform_time_design,
     vary_ratio_via_rho,
 )
-from conftest import T_MEDIAN
+from adtplan.sweeps import candidate_time_designs
+from conftest import TABLE1, T_MEDIAN
+from oracles import sweep_rows_reference
 
 NOMINAL_RATIO = 1.2234522034463164
 
@@ -222,3 +231,127 @@ class TestSweepResultValidation:
         )
         with pytest.raises(ValidationError):
             SweepResult(spec=self._spec(), rows=rows, nominal_t_median=1.58, nominal_ratio=1.22)
+
+
+def _perturbed(scale: tuple[float, float, float], rho: float, x_u: float, t_median: float) -> DegradationModel:
+    """Table 1 with scaled standard deviations, a new rho and x_u, and y0 set for the given median."""
+    b = TABLE1["beta"]
+    return DegradationModel.affine(
+        beta=b,
+        sigma1=TABLE1["sigma1"] * scale[0],
+        sigma2=TABLE1["sigma2"] * scale[1],
+        rho=rho,
+        sigma_eps=TABLE1["sigma_eps"] * scale[2],
+        x_u=x_u,
+        y0=b[0] + b[2] * x_u + (b[1] + b[3] * x_u) * t_median,
+    )
+
+
+def _assert_matches_reference(spec: SweepSpec, model: DegradationModel) -> None:
+    """Closed-form sweeps against the per-row product-design oracle."""
+    got = sweep_efficiency(spec, model).rows
+    pis = sweep_pi_star(spec, model).rows
+    want = sweep_rows_reference(spec, model)
+    assert [r.abscissa for r in got] == [r.abscissa for r in pis] == [r.abscissa for r in want]
+    assert [r.pi_star for r in got] == [r.pi_star for r in pis] == [r.pi_star for r in want]
+    assert [r.reachable for r in got] == [r.reachable for r in want]
+    for g, w in zip(got, want):
+        assert len(g.efficiencies) == len(spec.candidates)
+        assert g.efficiencies == pytest.approx(w.efficiencies, rel=1e-12, abs=0.0, nan_ok=True)
+
+
+class TestClosedFormMatchesReference:
+    @pytest.mark.parametrize("variable", ["t_median", "sigma_ratio"])
+    def test_default_specs(self, table1: DegradationModel, variable: str) -> None:
+        _assert_matches_reference(default_sweep_spec(variable), table1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(variable="t_median", lo=1.2, hi=6.0, n_points=40, held_fixed=1.5),
+            SweepSpec(variable="sigma_ratio", lo=0.2, hi=5.0, n_points=40, held_fixed=2.5),
+            SweepSpec(
+                variable="sigma_ratio", lo=0.3, hi=3.0, n_points=40, candidates=(CANDIDATE_TAU6, CANDIDATE_ZETA_STAR)
+            ),
+            SweepSpec(variable="t_median", lo=1.05, hi=10.0, n_points=40, candidates=(CANDIDATE_TAU2, CANDIDATE_TAU6)),
+        ],
+    )
+    def test_held_fixed_and_candidate_subsets(self, table1: DegradationModel, spec: SweepSpec) -> None:
+        _assert_matches_reference(spec, table1)
+
+    def test_no_ratio_reachable_without_slope_variance(self) -> None:
+        model = _perturbed((1.0, 0.0, 1.0), 0.0, TABLE1["x_u"], 2.0)
+        spec = SweepSpec(variable="sigma_ratio", lo=0.2, hi=5.0, n_points=9)
+        assert not any(r.reachable for r in sweep_efficiency(spec, model).rows)
+        _assert_matches_reference(spec, model)
+
+    # Standard deviations within 50 % of Table 1.  Far outside it the
+    # reference's 4x4 product-design solve itself loses digits near the
+    # reachable ratio edge; see test_closed_form_at_an_ill_conditioned_corner.
+    @given(
+        variable=st.sampled_from(["t_median", "sigma_ratio"]),
+        scale=st.tuples(*(st.floats(2.0 / 3.0, 1.5),) * 3),
+        rho=st.floats(-0.9, 0.9),
+        x_u=st.floats(-0.6, -0.01),
+        t_median=st.floats(1.05, 8.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_perturbed_models(
+        self, variable: str, scale: tuple[float, float, float], rho: float, x_u: float, t_median: float
+    ) -> None:
+        spec = dataclasses.replace(default_sweep_spec(variable), n_points=25)
+        _assert_matches_reference(spec, _perturbed(scale, rho, x_u, t_median))
+
+    def test_closed_form_at_an_ill_conditioned_corner(self) -> None:
+        # At this ratio, near the lowest reachable one, the product-design
+        # reference is off by 3e-12 in zeta*'s efficiency; the closed form
+        # agrees with 40-digit arithmetic.
+        model = _perturbed((0.25, 4.0, 0.25), 0.95, -0.6, 1.05)
+        spec = SweepSpec(variable="sigma_ratio", lo=0.23894781384180178, hi=5.0, n_points=2)
+        got = sweep_efficiency(spec, model).rows[0]
+        truth = vary_ratio_via_rho(spec.lo, model)
+        t_nom = median_failure_time(model)
+        taus = candidate_time_designs(spec.candidates, model, t_nom)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            sg = [[Decimal(v) for v in row] for row in truth.sigma_gamma]
+            t = Decimal(t_nom)
+
+            def var(u: float) -> Decimal:
+                u = Decimal(u)
+                return sg[0][0] + 2 * sg[0][1] * u + sg[1][1] * u * u + Decimal(truth.sigma_eps) ** 2
+
+            best = (var(0.0).sqrt() * (t - 1) + var(1.0).sqrt() * t) ** 2
+            for name, eff in zip(spec.candidates, got.efficiencies):
+                q = [(Decimal(w) / var(p), Decimal(p)) for p, w in zip(*taus[name].as_arrays())]
+                s0, s1, s2 = sum(qj for qj, _ in q), sum(qj * p for qj, p in q), sum(qj * p * p for qj, p in q)
+                exact = best * (s0 * s2 - s1 * s1) / (s2 - 2 * t * s1 + t * t * s0)
+                assert eff == pytest.approx(float(exact), rel=1e-14)
+
+
+class TestSweepEdges:
+    def test_quadratic_time_basis_rejected(self, table1: DegradationModel) -> None:
+        quad = dataclasses.replace(
+            table1,
+            time_basis=PowerBasis(2),
+            beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
+            sigma_gamma=((0.114**2, 0.0, 0.0), (0.0, 0.105**2, 0.0), (0.0, 0.0, 0.05**2)),
+        )
+        for variable in ("t_median", "sigma_ratio"):
+            with pytest.raises(ValidationError, match="affine"):
+                sweep_efficiency(default_sweep_spec(variable), quad)
+            with pytest.raises(ValidationError, match="affine"):
+                sweep_pi_star(default_sweep_spec(variable), quad)
+
+    def test_full_error_covariance_rejected(self, table1: DegradationModel) -> None:
+        full = dataclasses.replace(table1, error_spec=ErrorSpec(full=((0.048**2, 0.0), (0.0, 0.048**2))))
+        for variable in ("t_median", "sigma_ratio"):
+            with pytest.raises(ConfigurationError, match="full error covariance"):
+                sweep_efficiency(default_sweep_spec(variable), full)
+            with pytest.raises(ConfigurationError, match="full error covariance"):
+                sweep_pi_star(default_sweep_spec(variable), full)
+
+    def test_nominal_ratio_scores_one(self, table1: DegradationModel) -> None:
+        spec = SweepSpec(variable="sigma_ratio", lo=NOMINAL_RATIO, hi=1.5, n_points=3)
+        effs = dict(zip(spec.candidates, sweep_efficiency(spec, table1).rows[0].efficiencies))
+        assert effs[CANDIDATE_ZETA_STAR] == pytest.approx(1.0, abs=1e-12)

@@ -25,10 +25,11 @@ from adtplan import (
     optimize_capped_weights,
     optimize_time_plan,
     round_to_exact,
-    two_point_extrapolation_design,
     weighted_f2,
 )
+from adtplan.timeplan import design_sensitivity
 from conftest import T_MEDIAN
+from oracles import two_point_extrapolation_design
 
 TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
@@ -136,6 +137,11 @@ class TestExchangeEngine:
         M = (V * np.array(tau.weights)[:, None]).T @ V
         c = quad.time_basis.evaluate(t_star)
         assert float(c @ np.linalg.solve(M, c)) == pytest.approx(0.0508714357, rel=1e-9)
+        # The sensitivities optimize-destructive --out reports: 1 on the support.
+        phi = design_sensitivity(V, c, np.array(tau.weights))
+        u = V @ np.linalg.solve(M, c)
+        assert phi == pytest.approx(u**2 / float(c @ np.linalg.solve(M, c)), rel=1e-12)
+        assert phi == pytest.approx(1.0, abs=1e-7)
 
     def test_cubic_cap1_design_is_exact(self) -> None:
         # Three free weights on a four-point support: the closed-form finish
