@@ -29,15 +29,12 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from .criteria import avar_median, c_criterion_time, efficiency, stress_extrapolation_factor
 from .destructive import (
     VarianceFunction,
     c_criterion_single_obs,
     elfving_stress_design,
     elfving_time_design,
-    numeric_destructive_time_design,
     product_design,
     weighted_f2,
 )
@@ -52,7 +49,7 @@ from .sweeps import (
     default_sweep_spec,
     sweep_efficiency,
 )
-from .timeplan import GridSpec, OptimizerConfig, design_sensitivity, kkt_check, optimize_time_plan
+from .timeplan import OptimizerConfig, design_sensitivity, kkt_check, optimize_time_plan
 
 __all__ = ["main"]
 
@@ -236,18 +233,7 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
     model = scenario.model
     t_star = _resolve_t_star(args, model)
     xi = elfving_stress_design(model)
-    certified = True
-    if model.time_basis.is_affine:
-        tau = elfving_time_design(model, t_star)
-        iterations = 0
-    else:
-        grid = scenario.grid if scenario.grid is not None else GridSpec(J=400, k=1)
-        if grid.k != 1:
-            raise ValidationError("destructive plans take one measurement per unit; use grid.k = 1")
-        tau, cert = numeric_destructive_time_design(model, t_star, grid)
-        certified = cert.certified
-        iterations = cert.iterations
-
+    tau = elfving_time_design(model, t_star)
     zeta = product_design(xi, tau)
     _emit("command", "optimize-destructive")
     _model_lines(model)
@@ -258,19 +244,17 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
     for (x, t), wt in zeta.combined:
         _emit(f"zeta_{repr(float(x))}_{repr(float(t))}", wt)
     _emit("criterion_single_obs", c_criterion_single_obs(zeta, model, t_star))
-    _emit("certified", certified)
-    if iterations:
-        _emit("iterations", iterations)
+    _emit("certified", True)  # the Elfving design is optimal by construction
 
     path = _out_path(args, scenario)
     if path is not None:
-        vectors = np.array([weighted_f2(t, model) for t in tau.points])
-        sens = design_sensitivity(vectors, model.time_basis.evaluate(t_star), np.array(tau.weights))
+        ts, ws = tau.as_arrays()
+        sens = design_sensitivity(weighted_f2(ts, model), model.time_basis.evaluate(t_star), ws)
         rows = [(t, w, s, w >= 1.0 - 1e-9) for t, w, s in zip(tau.points, tau.weights, sens.tolist())]
         text = _design_json(rows) if _out_format(scenario) == "json" else _design_csv(rows)
         _atomic_write(path, text)
         _emit("out", path)
-    return _EXIT_OK if certified else _EXIT_NOT_CERTIFIED
+    return _EXIT_OK
 
 
 def cmd_efficiency(args: argparse.Namespace, scenario: Scenario) -> int:

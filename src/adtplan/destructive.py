@@ -21,14 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVarianceError,
-    OutOfRegimeError,
-    SingularDesignError,
-    ValidationError,
-)
+from .criteria import stress_extrapolation_factor
+from .errors import DegenerateVarianceError, OutOfRegimeError, SingularDesignError, ValidationError
 from .failure_time import sigma_u2
-from .model import ApproximateDesign, DegradationModel, kron_vec
+from .model import ApproximateDesign, DegradationModel
 from .timeplan import GridSpec, OptimalityCertificate, OptimizerConfig, optimize_capped_weights, support_design
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "elfving_time_design",
     "elfving_stress_design",
     "product_design",
-    "info_single_obs",
     "c_criterion_single_obs",
     "numeric_destructive_time_design",
 ]
@@ -50,7 +45,8 @@ class VarianceFunction:
     """Single-observation variance sigma^2(t) = f2(t)' Sigma_gamma f2(t) + sigma_eps^2.
 
     Positivity on [0, 1] is checked at construction; for the affine basis the
-    quadratic is minimized in closed form, otherwise on a fine grid.
+    quadratic is minimized in closed form, otherwise on a fine grid.  t may be
+    an array of times, as in sigma_u2.
     """
 
     model: DegradationModel
@@ -66,15 +62,16 @@ class VarianceFunction:
                 if 0.0 < t_min < 1.0:
                     ts.append(t_min)
         else:
-            ts = np.linspace(0.0, 1.0, 513).tolist()
-        if min(self.sigma2(t) for t in ts) <= 0.0:
+            ts = np.linspace(0.0, 1.0, 513)
+        if self.sigma2(np.asarray(ts)).min() <= 0.0:
             raise DegenerateVarianceError("variance function is not positive on [0,1]")
 
-    def sigma2(self, t: float) -> float:
+    def sigma2(self, t: float | np.ndarray) -> float | np.ndarray:
         return sigma_u2(t, self.model) + self.model.sigma_eps**2
 
-    def sigma(self, t: float) -> float:
-        return math.sqrt(self.sigma2(t))
+    def sigma(self, t: float | np.ndarray) -> float | np.ndarray:
+        s2 = self.sigma2(t)
+        return math.sqrt(s2) if np.ndim(t) == 0 else np.sqrt(s2)
 
     def ratio_end_over_start(self) -> float:
         """sigma(1)/sigma(0), the heteroscedasticity ratio of the horizon."""
@@ -105,12 +102,15 @@ class ProductDesign:
                 )
 
 
-def weighted_f2(t: float, model: DegradationModel) -> np.ndarray:
-    """Weighted marginal regression function f2(t)/sigma(t)."""
+def weighted_f2(t: float | np.ndarray, model: DegradationModel) -> np.ndarray:
+    """Weighted marginal regression function f2(t)/sigma(t); one row per time for an array."""
     s2 = sigma_u2(t, model) + model.sigma_eps**2
-    if s2 <= 0.0:
-        raise DegenerateVarianceError(f"sigma({t}) = 0; weighted basis undefined")
-    return model.time_basis.evaluate(t) / math.sqrt(s2)
+    if np.any(s2 <= 0.0):
+        t_bad = np.ravel(t)[np.argmax(np.ravel(s2) <= 0.0)]
+        raise DegenerateVarianceError(f"sigma({t_bad}) = 0; weighted basis undefined")
+    if np.ndim(t) == 0:
+        return model.time_basis.evaluate(t) / math.sqrt(s2)
+    return model.time_basis.evaluate_many(t) / np.sqrt(s2)[:, None]
 
 
 def pi_star_from_ratio(t_star: float, ratio: float) -> float:
@@ -178,32 +178,32 @@ def product_design(xi: ApproximateDesign, tau: ApproximateDesign) -> ProductDesi
     return ProductDesign(stress_design=xi, time_design=tau, combined=combined)
 
 
-def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:
-    """Normalized single-observation information of a destructive design.
-
-    M(zeta) = sum_i eta_i f1(x_i) f1(x_i)' kron f2~(t_i) f2~(t_i)'.
-    """
-    p = model.p1 * model.p2
-    M = np.zeros((p, p))
-    for (x, t), w in design.combined:
-        if w == 0.0:
-            continue
-        v = kron_vec(model.stress_basis.evaluate(x), weighted_f2(t, model))
-        M += w * np.outer(v, v)
-    return 0.5 * (M + M.T)
-
-
 def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_star: float) -> float:
-    """c' M(zeta)^-1 c for c = f1(x_u) kron f2(t*), the destructive criterion."""
-    M = info_single_obs(design, model)
-    c = kron_vec(model.stress_basis.evaluate(model.x_u), model.time_basis.evaluate(t_star))
-    try:
-        y = np.linalg.solve(np.linalg.cholesky(M), c)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError(
-            "single-observation information is singular; design does not identify all coefficients"
-        ) from None
-    return float(y @ y)
+    """c' M(zeta)^-1 c for c = f1(x_u) kron f2(t*), the destructive criterion.
+
+    The information of zeta = xi x tau is M1(xi) kron M2~(tau), with
+    M2~(tau) = sum_j q_j f2(t_j) f2(t_j)' and q_j = tau_j / sigma^2(t_j), so
+    the criterion is f1(x_u)' M1(xi)^-1 f1(x_u) * f2(t*)' M2~(tau)^-1 f2(t*).
+    The monic polynomials pi_k orthogonal under q (Stieltjes' recurrence)
+    span the power basis, so the time factor is the sum of positive terms
+    pi_k(t*)^2 / sum_j q_j pi_k(t_j)^2, free of the digits a solve with M2~
+    loses to its condition number.
+    """
+    ts, ws = design.time_design.as_arrays()
+    p2 = model.p2
+    if np.count_nonzero(ws) < p2:
+        raise SingularDesignError(f"time design has fewer than the {p2} support points the time basis needs")
+    q = ws / VarianceFunction(model).sigma2(ts)
+    # poly, poly_star: pi_k at the t_j and at t*; *_prev: pi_{k-1}.
+    time_factor, poly, poly_prev, poly_star, star_prev, norm_prev = 0.0, np.ones_like(ts), 0.0, 1.0, 0.0, 1.0
+    for _ in range(p2):
+        norm = float(q @ (poly * poly))
+        time_factor += poly_star * poly_star / norm
+        a, b = float(q @ (ts * poly * poly)) / norm, norm / norm_prev
+        poly, poly_prev = (ts - a) * poly - b * poly_prev, poly
+        poly_star, star_prev = (t_star - a) * poly_star - b * star_prev, poly_star
+        norm_prev = norm
+    return float(stress_extrapolation_factor(design.stress_design, model) * time_factor)
 
 
 def numeric_destructive_time_design(
@@ -225,7 +225,5 @@ def numeric_destructive_time_design(
             f"destructive designs are uncapped; grid must have k=1, got k={grid.k}"
         )
     pts = grid.points()
-    vectors = np.array([weighted_f2(t, model) for t in pts])
-    c = model.time_basis.evaluate(t_star)
-    w, cert = optimize_capped_weights(vectors, c, 1.0, cfg)
+    w, cert = optimize_capped_weights(weighted_f2(pts, model), model.time_basis.evaluate(t_star), 1.0, cfg)
     return support_design(pts, w, 1.0, cert.tol), cert

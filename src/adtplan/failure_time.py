@@ -8,7 +8,8 @@ Gaussian random coefficients the failure time T satisfies
 where mu(t) = f2(t)' delta is the aggregate path at the use stress and
 sigma_u^2(t) = f2(t)' Sigma_gamma f2(t) its between-unit variance.  For the
 affine basis mu is a straight line and the median has the closed form
-(y0 - delta_1) / delta_2.
+(y0 - delta_1) / delta_2.  mu_aggregate, sigma_u2, sigma_u and h take a
+float or an array of times; an array gives the bits of one call per time.
 """
 
 from __future__ import annotations
@@ -62,32 +63,47 @@ class QuantileResult:
     bounds_used: tuple[float, float]
 
 
-def mu_aggregate(t: float, model: DegradationModel) -> float:
+def mu_aggregate(t: float | np.ndarray, model: DegradationModel) -> float | np.ndarray:
     """Mean degradation at time t under use conditions, f2(t)' delta."""
-    return float(model.time_basis.evaluate(t) @ eval_delta(model))
+    delta = eval_delta(model)
+    if np.ndim(t) == 0:
+        return float(model.time_basis.evaluate(t) @ delta)
+    # Stacked products round as the scalar f2 @ A does; F2 @ A or einsum can differ in the last bit.
+    return (model.time_basis.evaluate_many(t)[:, None, :] @ delta)[:, 0]
 
 
-def sigma_u2(t: float, model: DegradationModel) -> float:
+def sigma_u2(t: float | np.ndarray, model: DegradationModel) -> float | np.ndarray:
     """Between-unit variance of the path at time t, f2(t)' Sigma_gamma f2(t)."""
-    f2 = model.time_basis.evaluate(t)
-    val = float(f2 @ model.sigma_gamma_matrix() @ f2)
+    sg = model.sigma_gamma_matrix()
     # Sigma_gamma is non-negative definite; clip roundoff noise.
-    return max(val, 0.0)
+    if np.ndim(t) == 0:
+        f2 = model.time_basis.evaluate(t)
+        return max(float(f2 @ sg @ f2), 0.0)
+    F2 = model.time_basis.evaluate_many(t)
+    return np.maximum((F2[:, None, :] @ sg @ F2[:, :, None])[:, 0, 0], 0.0)
 
 
-def sigma_u(t: float, model: DegradationModel) -> float:
-    return math.sqrt(sigma_u2(t, model))
+def sigma_u(t: float | np.ndarray, model: DegradationModel) -> float | np.ndarray:
+    s2 = sigma_u2(t, model)
+    return math.sqrt(s2) if np.ndim(t) == 0 else np.sqrt(s2)
 
 
-def h(t: float, model: DegradationModel) -> float:
+def h(t: float | np.ndarray, model: DegradationModel) -> float | np.ndarray:
     """Standardized margin (mu(t) - y0) / sigma_u(t).
 
     Undefined where the path variance vanishes: raises
     DegenerateVarianceError when the margin is nonzero there, and
-    IndeterminateMarginError for the 0/0 case.
+    IndeterminateMarginError for the 0/0 case; for an array of times, at
+    the first such time.
     """
     s = sigma_u(t, model)
     margin = mu_aggregate(t, model) - model.y0
+    if np.ndim(t):
+        zero = np.flatnonzero(s == 0.0)
+        if zero.size == 0:
+            return margin / s
+        # Fall through to the scalar check at the first zero-variance time.
+        t, s, margin = t[zero[0]], 0.0, margin[zero[0]]
     if s == 0.0:
         if margin == 0.0:
             raise IndeterminateMarginError(f"sigma_u({t}) = 0 and mu({t}) = y0: margin is 0/0")
@@ -120,27 +136,6 @@ def median_failure_time(model: DegradationModel) -> float:
     if not result.exists:
         raise NoPositiveMedianError("aggregate path never reaches the threshold")
     return result.t_alpha
-
-
-def _verify_increasing(model: DegradationModel, lo: float, hi: float) -> None:
-    """Sample h on [lo, hi] and require strict increase.
-
-    Monotonicity of h is guaranteed for affine paths with rho >= 0; for
-    negative correlation (or richer bases) it can fail, in which case the
-    quantile root may not be unique and we refuse rather than guess.
-    """
-    ts = np.linspace(lo, hi, _MONOTONE_GRID)
-    vals = np.array([h(t, model) for t in ts])
-    if np.any(np.diff(vals) <= 0.0):
-        raise NonMonotoneMarginError(
-            f"h is not strictly increasing on [{lo}, {hi}]; quantile root may not be unique"
-        )
-
-
-def _needs_monotonicity_check(model: DegradationModel) -> bool:
-    if not model.time_basis.is_affine:
-        return True
-    return model.sigma_gamma_matrix()[0, 1] < 0.0
 
 
 def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
@@ -180,8 +175,13 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
         if hi > _BRACKET_LIMIT:
             return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(lo, hi))
 
-    if _needs_monotonicity_check(model):
-        _verify_increasing(model, lo, hi)
+    # h is increasing for affine paths with rho >= 0.  Otherwise sample it on
+    # the bracket, and refuse rather than guess when the root may not be unique.
+    if not model.time_basis.is_affine or model.sigma_gamma_matrix()[0, 1] < 0.0:
+        if np.any(np.diff(h(np.linspace(lo, hi, _MONOTONE_GRID), model)) <= 0.0):
+            raise NonMonotoneMarginError(
+                f"h is not strictly increasing on [{lo}, {hi}]; quantile root may not be unique"
+            )
 
     # Bisection on the increasing h down to adjacent floats, keeping
     # h(a) < z <= h(b); the root is b.

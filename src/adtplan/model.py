@@ -9,9 +9,8 @@ regression structure:
 where f1 is a basis in the standardized stress x, f2 a basis in time,
 gamma_i a unit-level random coefficient vector with covariance Sigma_gamma,
 and eps_ij measurement error.  This module holds the bases, the model
-container, per-unit covariance assembly, and the Kronecker helper; everything
-downstream (failure-time quantiles, design criteria, optimizers) consumes
-these types.
+container and per-unit covariance assembly; everything downstream
+(failure-time quantiles, design criteria, optimizers) consumes these types.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "ApproximateDesign",
     "sigma_gamma_from_sd_corr",
     "eval_delta",
-    "kron_vec",
     "assemble_V",
 ]
 
@@ -277,11 +275,6 @@ def eval_delta(model: DegradationModel) -> np.ndarray:
     """
     f1u = model.stress_basis.evaluate(model.x_u)
     return f1u @ model.beta_matrix()
-
-
-def kron_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors, (a kron b)_{(i-1)n+j} = a_i b_j."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def assemble_V(time_points: np.ndarray, model: DegradationModel) -> np.ndarray:

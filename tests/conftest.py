@@ -28,6 +28,25 @@ def table1() -> DegradationModel:
     return DegradationModel.affine(**TABLE1)
 
 
+def perturbed_table1(scale: tuple[float, float, float], rho: float, x_u: float, t_median: float) -> DegradationModel:
+    """Table 1 with scaled standard deviations, a new rho and x_u, and y0 set for the given median."""
+    b = TABLE1["beta"]
+    return DegradationModel.affine(
+        beta=b,
+        sigma1=TABLE1["sigma1"] * scale[0],
+        sigma2=TABLE1["sigma2"] * scale[1],
+        rho=rho,
+        sigma_eps=TABLE1["sigma_eps"] * scale[2],
+        x_u=x_u,
+        y0=b[0] + b[2] * x_u + (b[1] + b[3] * x_u) * t_median,
+    )
+
+
+# A variance ratio near the lowest that perturbed_table1((0.25, 4.0, 0.25),
+# 0.95, -0.6, 1.05) reaches; its destructive designs are ill-conditioned.
+CORNER_RATIO = 0.23894781384180178
+
+
 def random_affine_model(rng: np.random.Generator, *, x_u: float | None = None) -> DegradationModel:
     """Random affine model with a valid covariance and increasing mean path.
 

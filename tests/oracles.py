@@ -8,17 +8,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from adtplan import (
     ApproximateDesign,
     DegradationModel,
+    ProductDesign,
     SingularDesignError,
     SweepRow,
     SweepSpec,
     ValidationError,
-    c_criterion_single_obs,
     elfving_stress_design,
     elfving_time_design,
     median_failure_time,
@@ -85,6 +86,56 @@ def elfving_brute_force_oracle(model: DegradationModel, t_star: float, grid_n: i
     return ApproximateDesign(points=(float(ts[i]), float(ts[j])), weights=(w_i, 1.0 - w_i))
 
 
+def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:
+    """Full single-observation information of a destructive design, point by point.
+
+    M(zeta) = sum_i eta_i v_i v_i' with v_i = f1(x_i) kron f2(t_i)/sigma(t_i):
+    the p1 p2 x p1 p2 matrix whose Kronecker structure c_criterion_single_obs
+    factorizes.
+    """
+    p = model.p1 * model.p2
+    M = np.zeros((p, p))
+    for (x, t), w in design.combined:
+        v = np.kron(model.stress_basis.evaluate(x), weighted_f2(t, model))
+        M += w * np.outer(v, v)
+    return 0.5 * (M + M.T)
+
+
+def kronecker_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_star: float) -> float:
+    """c' M(zeta)^-1 c for c = f1(x_u) kron f2(t*), by a Cholesky solve of info_single_obs."""
+    c = np.kron(model.stress_basis.evaluate(model.x_u), model.time_basis.evaluate(t_star))
+    y = np.linalg.solve(np.linalg.cholesky(info_single_obs(design, model)), c)
+    return float(y @ y)
+
+
+def efficiencies_40_digits(
+    model: DegradationModel, t_star: float, taus: list[ApproximateDesign]
+) -> list[float]:
+    """Efficiencies of affine time designs against the local Elfving optimum, in 40-digit arithmetic.
+
+    The shared stress factor cancels.  With q_j = w_j / sigma^2(t_j) and
+    S_m = sum_j q_j t_j^m a time design scores
+    (S2 - 2t S1 + t^2 S0) / (S0 S2 - S1^2), and the optimum scores
+    (sigma(0)(t - 1) + sigma(1) t)^2 (Elfving 1952).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sg = [[Decimal(v) for v in row] for row in model.sigma_gamma]
+        t = Decimal(t_star)
+
+        def var(u: float) -> Decimal:
+            u = Decimal(u)
+            return sg[0][0] + 2 * sg[0][1] * u + sg[1][1] * u * u + Decimal(model.sigma_eps) ** 2
+
+        best = (var(0.0).sqrt() * (t - 1) + var(1.0).sqrt() * t) ** 2
+        effs = []
+        for tau in taus:
+            q = [(Decimal(w) / var(p), Decimal(p)) for p, w in zip(tau.points, tau.weights)]
+            s0, s1, s2 = sum(qj for qj, _ in q), sum(qj * p for qj, p in q), sum(qj * p * p for qj, p in q)
+            effs.append(float(best * (s0 * s2 - s1 * s1) / (s2 - 2 * t * s1 + t * t * s0)))
+        return effs
+
+
 def _ratio_model(target_ratio: float, model: DegradationModel) -> DegradationModel | None:
     """Scalar rho reparameterization of vary_ratio_via_rho; None where |rho| > 1 + 1e-12."""
     s2 = math.sqrt(model.sigma_gamma_matrix()[1, 1])
@@ -132,7 +183,7 @@ def sweep_rows_reference(spec: SweepSpec, model: DegradationModel) -> list[Sweep
                 rows.append(SweepRow(a, pi1, (math.nan,) * len(candidates), reachable=False))
                 continue
         local = product_design(xi, elfving_time_design(m_true, t_true))
-        crit_local = c_criterion_single_obs(local, m_true, t_true)
-        effs = tuple(crit_local / c_criterion_single_obs(z, m_true, t_true) for z in candidates)
+        crit_local = kronecker_criterion_single_obs(local, m_true, t_true)
+        effs = tuple(crit_local / kronecker_criterion_single_obs(z, m_true, t_true) for z in candidates)
         rows.append(SweepRow(a, pi1, effs))
     return rows

@@ -242,3 +242,39 @@ class TestErrorPaths:
         code = main(["quantile", "--scenario", "/nonexistent/x.scenario"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Subcommand runs on example1 whose full stdout, and the file any --out
+# writes, are pinned by golden file name; "{tmp}" stands for a scratch
+# directory.
+GOLDEN_RUNS = {
+    "quantile": ["quantile"],
+    "quantile_alpha_0.9": ["quantile", "--alpha", "0.9"],
+    "optimize_time": ["optimize-time", "--out", "{tmp}/plan.csv"],
+    "optimize_destructive": ["optimize-destructive"],
+    "optimize_destructive_t2.5": ["optimize-destructive", "--t-star", "2.5", "--out", "{tmp}/marginal.csv"],
+    "efficiency": ["efficiency"],
+    "efficiency_t3": ["efficiency", "--t-star", "3.0"],
+    "sweep_t_median": ["sweep", "--variable", "t_median", "--out", "{tmp}/sweep.csv"],
+    "sweep_sigma_ratio": ["sweep", "--variable", "sigma_ratio", "--out", "{tmp}/sweep.csv"],
+    "check": ["check", "--design", "{tmp}/tau0.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_stdout_matches_golden(name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    (tmp_path / "tau0.csv").write_text(
+        "t,weight\n" + "".join(f"{t},{1 / 6!r}\n" for t in (0.0, 0.05, 0.10, 0.90, 0.95, 1.00))
+    )
+    argv = [a.format(tmp=tmp_path) for a in GOLDEN_RUNS[name]]
+    assert main([argv[0], "--scenario", str(SCENARIO), *argv[1:]]) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "{tmp}")
+    out = "".join(
+        "elapsed_s,{masked}\n" if line.startswith("elapsed_s,") else line + "\n" for line in out.splitlines()
+    )
+    assert out == (GOLDEN / f"{name}.out").read_text()
+    if "--out" in argv:
+        written = Path(argv[argv.index("--out") + 1])
+        assert written.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

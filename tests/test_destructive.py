@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from adtplan import (
+    ALL_CANDIDATES,
     ApproximateDesign,
     ConfigurationError,
     DegradationModel,
@@ -14,20 +15,61 @@ from adtplan import (
     OutOfRegimeError,
     PowerBasis,
     ProductDesign,
+    SingularDesignError,
     ValidationError,
     VarianceFunction,
     c_criterion_single_obs,
     elfving_stress_design,
     elfving_time_design,
-    info_single_obs,
+    h,
     info_stress,
+    median_failure_time,
+    mu_aggregate,
     numeric_destructive_time_design,
     pi_star_from_ratio,
     product_design,
+    sigma_u,
+    sigma_u2,
+    uniform_time_design,
+    vary_ratio_via_rho,
     weighted_f2,
 )
-from conftest import T_MEDIAN, random_affine_model
-from oracles import elfving_brute_force_oracle
+from adtplan.sweeps import candidate_time_designs
+from conftest import CORNER_RATIO, T_MEDIAN, perturbed_table1, random_affine_model
+from oracles import (
+    efficiencies_40_digits,
+    elfving_brute_force_oracle,
+    info_single_obs,
+    kronecker_criterion_single_obs,
+)
+
+
+def random_model(rng: np.random.Generator, degree: int) -> DegradationModel:
+    """Affine-in-stress model with a degree-`degree` time basis and a random positive definite Sigma_gamma."""
+    p2 = degree + 1
+    A = rng.normal(size=(p2, p2)) * 0.1
+    return DegradationModel(
+        stress_basis=PowerBasis(1),
+        time_basis=PowerBasis(degree),
+        beta=tuple(rng.uniform(0.5, 2.0, size=2 * p2)),
+        sigma_gamma=tuple(map(tuple, A @ A.T + 1e-3 * np.eye(p2))),
+        error_spec=ErrorSpec(sigma_eps=float(rng.uniform(0.01, 0.3))),
+        x_u=float(rng.uniform(-0.6, -0.02)),
+        y0=3.0,
+    )
+
+
+def random_time_design(rng: np.random.Generator) -> ApproximateDesign:
+    """Both endpoints and a random subset of {1/4, 1/2, 3/4}, with random weights.
+
+    The support is spread out: on clustered supports the Kronecker reference
+    itself loses digits (1.8e-13 relative on {0.75, 0.8} against 50-digit
+    arithmetic); the corner test below covers ill-conditioned designs.
+    """
+    inner = [t for t in (0.25, 0.5, 0.75) if rng.uniform() < 0.5] or [0.5]
+    pts = (0.0, *inner, 1.0)
+    w = rng.uniform(0.2, 1.0, size=len(pts))
+    return ApproximateDesign(points=pts, weights=tuple(w / w.sum()))
 
 
 class TestVarianceFunction:
@@ -76,6 +118,18 @@ class TestVarianceFunction:
         assert 0.0 < t_min < 1.0
         grid = np.linspace(0.0, 1.0, 2001)
         assert var.sigma2(t_min) <= min(var.sigma2(float(t)) for t in grid) + 1e-15
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_array_forms_equal_stacked_scalar_calls(self, degree: int) -> None:
+        rng = np.random.default_rng(degree)
+        model = random_model(rng, degree)
+        var = VarianceFunction(model)
+        fns = {f.__name__: (lambda t, f=f: f(t, model)) for f in (sigma_u2, sigma_u, mu_aggregate, h, weighted_f2)}
+        fns.update(sigma2=var.sigma2, sigma=var.sigma)
+        ts = np.concatenate([np.linspace(0.0, 1.0, 1001), rng.uniform(0.0, 10.0, 200)])
+        for name, f in fns.items():
+            assert np.array_equal(f(ts), np.array([f(float(t)) for t in ts])), name
+            assert type(f(0.3)) is (np.ndarray if name == "weighted_f2" else float), name
 
     def test_weighted_regressor(self, table1: DegradationModel) -> None:
         assert np.allclose(
@@ -211,6 +265,8 @@ class TestProductDesign:
 
 class TestSingleObsInformation:
     def test_kronecker_structure(self, table1: DegradationModel) -> None:
+        # The reference information of tests/oracles.py is the Kronecker
+        # product that c_criterion_single_obs factorizes.
         xi = elfving_stress_design(table1)
         tau = elfving_time_design(table1, T_MEDIAN)
         zeta = product_design(xi, tau)
@@ -228,6 +284,51 @@ class TestSingleObsInformation:
         zeta = product_design(elfving_stress_design(table1), elfving_time_design(table1, T_MEDIAN))
         val = c_criterion_single_obs(zeta, table1, T_MEDIAN)
         assert val == pytest.approx(0.12030595327704464, rel=1e-12)
+
+    def test_matches_kronecker_reference_on_random_affine_models(self) -> None:
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            model = random_affine_model(rng)
+            t_star = float(rng.uniform(1.2, 6.0))
+            xi = elfving_stress_design(model)
+            elfving = elfving_time_design(model, t_star)
+            taus = [elfving, uniform_time_design(2), uniform_time_design(6), random_time_design(rng)]
+            for tau in taus:
+                zeta = product_design(xi, tau)
+                assert c_criterion_single_obs(zeta, model, t_star) == pytest.approx(
+                    kronecker_criterion_single_obs(zeta, model, t_star), rel=1e-13, abs=0.0
+                )
+
+    def test_matches_kronecker_reference_on_quadratic_time_bases(self) -> None:
+        rng = np.random.default_rng(82)
+        for _ in range(25):
+            model = random_model(rng, 2)
+            xi = elfving_stress_design(model)
+            t_star = float(rng.uniform(0.5, 3.0))
+            zeta = product_design(xi, random_time_design(rng))
+            assert c_criterion_single_obs(zeta, model, t_star) == pytest.approx(
+                kronecker_criterion_single_obs(zeta, model, t_star), rel=1e-13, abs=0.0
+            )
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_one_point_time_design_is_singular(self, table1: DegradationModel, t: float) -> None:
+        tau = ApproximateDesign(points=(t,), weights=(1.0,))
+        zeta = product_design(elfving_stress_design(table1), tau)
+        with pytest.raises(SingularDesignError):
+            c_criterion_single_obs(zeta, table1, T_MEDIAN)
+
+    def test_efficiencies_at_an_ill_conditioned_corner(self) -> None:
+        # Near the lowest reachable variance ratio the 4x4 Kronecker solve
+        # loses digits (3.1e-12 relative in zeta*'s efficiency); the
+        # factorized criterion keeps them.
+        model = perturbed_table1((0.25, 4.0, 0.25), 0.95, -0.6, 1.05)
+        truth = vary_ratio_via_rho(CORNER_RATIO, model)
+        t_nom = median_failure_time(model)
+        xi = elfving_stress_design(model)
+        taus = list(candidate_time_designs(ALL_CANDIDATES, model, t_nom).values())
+        best = c_criterion_single_obs(product_design(xi, elfving_time_design(truth, t_nom)), truth, t_nom)
+        effs = [best / c_criterion_single_obs(product_design(xi, tau), truth, t_nom) for tau in taus]
+        assert effs == pytest.approx(efficiencies_40_digits(truth, t_nom, taus), rel=1e-14, abs=0.0)
 
 
 class TestBruteForceOracle:

@@ -74,6 +74,8 @@ class TestMargin:
         )
         with pytest.raises(DegenerateVarianceError):
             h(0.0, model)
+        with pytest.raises(DegenerateVarianceError, match=r"sigma_u\(0\.0\)"):
+            h(np.array([0.5, 0.0, 0.2]), model)
 
     def test_zero_over_zero_margin_raises(self) -> None:
         # Path starts exactly at the threshold with zero start variance.
@@ -88,6 +90,8 @@ class TestMargin:
         )
         with pytest.raises(IndeterminateMarginError):
             h(0.0, model)
+        with pytest.raises(IndeterminateMarginError, match=r"sigma_u\(0\.0\)"):
+            h(np.array([0.5, 0.0]), model)
 
 
 class TestMedian:

@@ -19,12 +19,9 @@ from adtplan import (
     ValidationError,
     assemble_V,
     eval_delta,
-    kron_vec,
     sigma_gamma_from_sd_corr,
 )
 from conftest import TABLE1
-
-finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 class TestPowerBasis:
@@ -162,25 +159,6 @@ class TestApproximateDesign:
         trimmed = design.support()
         assert trimmed.points == (0.0, 1.0)
         assert trimmed.weights == (0.25, 0.75)
-
-
-class TestKron:
-    @given(a=st.lists(finite, min_size=2, max_size=3), b=st.lists(finite, min_size=2, max_size=3))
-    @settings(max_examples=50)
-    def test_matches_numpy_outer_flattening(self, a: list[float], b: list[float]) -> None:
-        va, vb = np.asarray(a), np.asarray(b)
-        assert np.allclose(kron_vec(va, vb), np.outer(va, vb).ravel())
-
-    @given(
-        a=st.lists(finite, min_size=2, max_size=2),
-        b=st.lists(finite, min_size=2, max_size=2),
-        c=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
-    )
-    @settings(max_examples=50)
-    def test_bilinear(self, a: list[float], b: list[float], c: float) -> None:
-        va, vb = np.asarray(a), np.asarray(b)
-        assert np.allclose(kron_vec(c * va, vb), c * kron_vec(va, vb))
-        assert np.allclose(kron_vec(va, c * vb), c * kron_vec(va, vb))
 
 
 class TestAssembleV:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,8 +34,8 @@ from adtplan import (
     vary_ratio_via_rho,
 )
 from adtplan.sweeps import candidate_time_designs
-from conftest import TABLE1, T_MEDIAN
-from oracles import sweep_rows_reference
+from conftest import CORNER_RATIO, TABLE1, T_MEDIAN, perturbed_table1
+from oracles import efficiencies_40_digits, sweep_rows_reference
 
 NOMINAL_RATIO = 1.2234522034463164
 
@@ -233,20 +232,6 @@ class TestSweepResultValidation:
             SweepResult(spec=self._spec(), rows=rows, nominal_t_median=1.58, nominal_ratio=1.22)
 
 
-def _perturbed(scale: tuple[float, float, float], rho: float, x_u: float, t_median: float) -> DegradationModel:
-    """Table 1 with scaled standard deviations, a new rho and x_u, and y0 set for the given median."""
-    b = TABLE1["beta"]
-    return DegradationModel.affine(
-        beta=b,
-        sigma1=TABLE1["sigma1"] * scale[0],
-        sigma2=TABLE1["sigma2"] * scale[1],
-        rho=rho,
-        sigma_eps=TABLE1["sigma_eps"] * scale[2],
-        x_u=x_u,
-        y0=b[0] + b[2] * x_u + (b[1] + b[3] * x_u) * t_median,
-    )
-
-
 def _assert_matches_reference(spec: SweepSpec, model: DegradationModel) -> None:
     """Closed-form sweeps against the per-row product-design oracle."""
     got = sweep_efficiency(spec, model).rows
@@ -280,7 +265,7 @@ class TestClosedFormMatchesReference:
         _assert_matches_reference(spec, table1)
 
     def test_no_ratio_reachable_without_slope_variance(self) -> None:
-        model = _perturbed((1.0, 0.0, 1.0), 0.0, TABLE1["x_u"], 2.0)
+        model = perturbed_table1((1.0, 0.0, 1.0), 0.0, TABLE1["x_u"], 2.0)
         spec = SweepSpec(variable="sigma_ratio", lo=0.2, hi=5.0, n_points=9)
         assert not any(r.reachable for r in sweep_efficiency(spec, model).rows)
         _assert_matches_reference(spec, model)
@@ -300,33 +285,19 @@ class TestClosedFormMatchesReference:
         self, variable: str, scale: tuple[float, float, float], rho: float, x_u: float, t_median: float
     ) -> None:
         spec = dataclasses.replace(default_sweep_spec(variable), n_points=25)
-        _assert_matches_reference(spec, _perturbed(scale, rho, x_u, t_median))
+        _assert_matches_reference(spec, perturbed_table1(scale, rho, x_u, t_median))
 
     def test_closed_form_at_an_ill_conditioned_corner(self) -> None:
         # At this ratio, near the lowest reachable one, the product-design
         # reference is off by 3e-12 in zeta*'s efficiency; the closed form
         # agrees with 40-digit arithmetic.
-        model = _perturbed((0.25, 4.0, 0.25), 0.95, -0.6, 1.05)
-        spec = SweepSpec(variable="sigma_ratio", lo=0.23894781384180178, hi=5.0, n_points=2)
+        model = perturbed_table1((0.25, 4.0, 0.25), 0.95, -0.6, 1.05)
+        spec = SweepSpec(variable="sigma_ratio", lo=CORNER_RATIO, hi=5.0, n_points=2)
         got = sweep_efficiency(spec, model).rows[0]
-        truth = vary_ratio_via_rho(spec.lo, model)
         t_nom = median_failure_time(model)
         taus = candidate_time_designs(spec.candidates, model, t_nom)
-        with localcontext() as ctx:
-            ctx.prec = 40
-            sg = [[Decimal(v) for v in row] for row in truth.sigma_gamma]
-            t = Decimal(t_nom)
-
-            def var(u: float) -> Decimal:
-                u = Decimal(u)
-                return sg[0][0] + 2 * sg[0][1] * u + sg[1][1] * u * u + Decimal(truth.sigma_eps) ** 2
-
-            best = (var(0.0).sqrt() * (t - 1) + var(1.0).sqrt() * t) ** 2
-            for name, eff in zip(spec.candidates, got.efficiencies):
-                q = [(Decimal(w) / var(p), Decimal(p)) for p, w in zip(*taus[name].as_arrays())]
-                s0, s1, s2 = sum(qj for qj, _ in q), sum(qj * p for qj, p in q), sum(qj * p * p for qj, p in q)
-                exact = best * (s0 * s2 - s1 * s1) / (s2 - 2 * t * s1 + t * t * s0)
-                assert eff == pytest.approx(float(exact), rel=1e-14)
+        exact = efficiencies_40_digits(vary_ratio_via_rho(spec.lo, model), t_nom, list(taus.values()))
+        assert got.efficiencies == pytest.approx(exact, rel=1e-14)
 
 
 class TestSweepEdges:
