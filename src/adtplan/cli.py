@@ -126,10 +126,9 @@ def _sweep_json(header: list[str], rows: list[list[float]]) -> str:
 
 
 def _model_lines(model: DegradationModel) -> None:
-    d1, d2 = eval_delta(model)
     var = VarianceFunction(model)
-    _emit("delta_1", float(d1))
-    _emit("delta_2", float(d2))
+    for i, d in enumerate(eval_delta(model), start=1):
+        _emit(f"delta_{i}", float(d))
     _emit("t_median", median_failure_time(model))
     _emit("sigma_at_0", var.sigma(0.0))
     _emit("sigma_at_1", var.sigma(1.0))

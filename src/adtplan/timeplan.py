@@ -126,7 +126,12 @@ def _first_positive_root(a: float, b: float, c: float) -> float:
 
 
 class _CappedCProblem:
-    """Minimize c' M(w)^-1 c, M(w) = sum_j w_j v_j v_j', over the capped simplex."""
+    """Minimize c' M(w)^-1 c, M(w) = sum_j w_j v_j v_j', over the capped simplex.
+
+    The iterate w and the lower Cholesky factor L of M(w) travel together:
+    start() sets both, and a move that accepts a trial design keeps the
+    factor it took of that trial, so each design is factorized once.
+    """
 
     def __init__(self, vectors: np.ndarray, c: np.ndarray, cap: float):
         self.V = np.asarray(vectors, dtype=float)
@@ -135,6 +140,8 @@ class _CappedCProblem:
             raise ValidationError("vectors must be rows of the same dimension as c")
         self.n, self.p = self.V.shape
         self.cap = float(cap)
+        self.w = np.zeros(self.n)
+        self.L: np.ndarray | None = None
 
     def cholesky(self, w: np.ndarray) -> np.ndarray | None:
         """Lower Cholesky factor of M(w); None when M(w) is singular."""
@@ -145,12 +152,11 @@ class _CappedCProblem:
         except np.linalg.LinAlgError:
             return None
 
-    def criterion_and_sensitivity(self, w: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Criterion value and per-point sensitivity phi; (inf, None) if singular.
+    def criterion_and_sensitivity(self, L: np.ndarray | None) -> tuple[float, np.ndarray | None]:
+        """Criterion value and per-point sensitivity phi from the factor L of M; (inf, None) if singular.
 
         phi_j = (c' M^-1 v_j)^2 / (c' M^-1 c), normalized so sum_j w_j phi_j = 1.
         """
-        L = self.cholesky(w)
         if L is None:
             return math.inf, None
         y = np.linalg.solve(L, self.c)
@@ -160,8 +166,12 @@ class _CappedCProblem:
         b = self.V @ np.linalg.solve(L.T, y)
         return crit, b * b / crit
 
-    def exchange(self, w: np.ndarray, i: int, j: int, min_gap: float = 0.0) -> float | None:
-        """Exact line search for moving weight between points i and j, in place.
+    def _accept(self, trial: np.ndarray, L: np.ndarray) -> None:
+        self.w[:] = trial
+        self.L = L
+
+    def exchange(self, i: int, j: int, min_gap: float = 0.0) -> float | None:
+        """Exact line search for moving weight between points i and j of the iterate.
 
         Weight flows from the point of lower sensitivity, d, to the other, r.
         Along M(a) = M + a (v_r v_r' - v_d v_d') Woodbury's identity gives,
@@ -177,7 +187,8 @@ class _CappedCProblem:
         phi_r - phi_d <= min_gap, no step is possible or the step would leave
         a singular design.
         """
-        Y = np.linalg.solve(self.cholesky(w), np.column_stack([self.V[i], self.V[j], self.c]))
+        w = self.w
+        Y = np.linalg.solve(self.L, np.column_stack([self.V[i], self.V[j], self.c]))
         K = Y.T @ Y
         r, d, (a, b, dd, gr, gd) = i, j, (K[0, 0], K[0, 1], K[1, 1], K[0, 2], K[1, 2])
         if gr * gr < gd * gd:
@@ -195,16 +206,19 @@ class _CappedCProblem:
         if empties and w[r] > 0.0 and np.count_nonzero(w) <= self.p:
             return None
         decrease = step * (n0 + n1 * step) / (d2 * step * step + d1 * step - 1.0)
+        if not decrease > 0.0:
+            return None
         trial = w.copy()
         trial[r] = self.cap if step == self.cap - w[r] else w[r] + step
         trial[d] = 0.0 if empties else w[d] - step
-        if not (decrease > 0.0 and self.cholesky(trial) is not None):
+        L = self.cholesky(trial)
+        if L is None:
             return None
-        w[:] = trial
+        self._accept(trial, L)
         return decrease
 
-    def finish(self, w: np.ndarray) -> float | None:
-        """Closed-form free weights on a support of exactly p points, in place.
+    def finish(self) -> float | None:
+        """Closed-form free weights when the iterate has a support of exactly p points.
 
         With V_S the square matrix of the support rows and V_S' u = c, the
         criterion is sum_S u_j^2 / w_j; keeping the saturated weights, the
@@ -212,6 +226,7 @@ class _CappedCProblem:
         the decrease of the criterion, or None when the closed form is not a
         better feasible design.
         """
+        w = self.w
         support = np.flatnonzero(w)
         free = w[support] < self.cap
         if support.size != self.p or np.count_nonzero(free) < 2:
@@ -224,22 +239,26 @@ class _CappedCProblem:
         trial[support[free]] = w[support[free]].sum() * share / share.sum()
         if not np.all((trial[support] > 0.0) & (trial[support] <= self.cap)):
             return None
-        decrease = self.criterion_and_sensitivity(w)[0] - self.criterion_and_sensitivity(trial)[0]
+        # Both criteria recomputed from their factors: the caller's running
+        # value differs in its last bits and would flip marginal decisions.
+        L = self.cholesky(trial)
+        decrease = self.criterion_and_sensitivity(self.L)[0] - self.criterion_and_sensitivity(L)[0]
         if not decrease > 0.0:
             return None
-        w[:] = trial
+        self._accept(trial, L)
         return decrease
 
-    def start(self) -> np.ndarray:
+    def start(self) -> None:
         """Start design: m = max(p, ceil(1/cap)) points at weight 1/m.
 
         The first p are linearly independent points taken in descending order
         of phi at the uniform design, the rest the next highest-phi points.
         """
-        _, phi = self.criterion_and_sensitivity(np.full(self.n, 1.0 / self.n))
+        _, phi = self.criterion_and_sensitivity(self.cholesky(np.full(self.n, 1.0 / self.n)))
         if phi is None:
             raise InfeasibleDesignError("the candidate set does not span the target direction: singular uniform design")
         order = np.argsort(-phi, kind="stable")
+        floor = _START_INDEPENDENCE * np.linalg.norm(self.V[order], axis=1)
         chosen: list[int] = []
         basis = np.zeros((0, self.p))
         for _ in range(self.p):
@@ -247,18 +266,17 @@ class _CappedCProblem:
             lengths = np.linalg.norm(resid, axis=1)
             # The first point in phi order that is far enough from the span of
             # the chosen ones; failing that, the farthest point.
-            ok = order[lengths[order] > _START_INDEPENDENCE * np.linalg.norm(self.V[order], axis=1)]
+            ok = order[lengths[order] > floor]
             j = int(ok[0]) if ok.size else int(np.argmax(lengths))
             chosen.append(j)
             basis = np.vstack([basis, resid[j] / lengths[j]])
         # ceil(1/cap) with 1/cap's rounding absorbed: k points for cap 1/k.
         m = min(self.n, max(self.p, math.ceil(1.0 / self.cap - 1e-9)))
-        chosen += [int(j) for j in order if j not in chosen][: m - len(chosen)]
-        w = np.zeros(self.n)
-        w[chosen] = 1.0 / m
-        if self.cholesky(w) is None:
+        chosen += order[~np.isin(order, chosen)][: m - len(chosen)].tolist()
+        self.w[chosen] = 1.0 / m
+        self.L = self.cholesky(self.w)
+        if self.L is None:
             raise InfeasibleDesignError("the candidate vectors are too close to collinear for a nonsingular start")
-        return w
 
 
 def _classify(w: np.ndarray, cap: float, weight_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,13 +328,19 @@ def optimize_capped_weights(
     decrease of each step.  The loop stops when phi on the unsaturated
     points exceeds phi on the supported points by at most tol, which bounds
     the certificate's violation, or after cfg.max_iters steps.
+
+    Cost: one Cholesky factorization of the p x p information matrix per
+    trial design (two for the start), plus O(n p) per round for the
+    sensitivities over all n candidates.  The factor of the current iterate
+    is carried between steps, so an accepted trial is never factorized again.
     """
     problem = _CappedCProblem(vectors, c, cap)
     if problem.n * cap < 1.0 - 1e-12:
         raise InfeasibleDesignError(f"cap {cap} over {problem.n} candidate points cannot reach total weight 1")
 
-    w = problem.start()
-    crit, phi = problem.criterion_and_sensitivity(w)
+    problem.start()
+    w = problem.w
+    crit, phi = problem.criterion_and_sensitivity(problem.L)
     iteration = 0
 
     def step(move: Callable[..., float | None], *args: object) -> bool:
@@ -338,14 +362,14 @@ def optimize_capped_weights(
             break
         d = positive[np.argmin(phi[positive])]
         r = open_[np.argmax(phi[open_])]
-        if phi[r] - phi[d] <= cfg.tol or not step(problem.exchange, w, r, d):
+        if phi[r] - phi[d] <= cfg.tol or not step(problem.exchange, r, d):
             break
         interior = np.flatnonzero((w > 0.0) & (w < problem.cap)).tolist()
         for a, i in enumerate(interior):
             for j in interior[a + 1 :]:
-                step(problem.exchange, w, i, j, cfg.tol)
-        step(problem.finish, w)
-        _, phi = problem.criterion_and_sensitivity(w)
+                step(problem.exchange, i, j, cfg.tol)
+        step(problem.finish)
+        _, phi = problem.criterion_and_sensitivity(problem.L)
 
     return w, _certificate(w, phi, problem.cap, cfg.tol, iteration)
 
@@ -411,19 +435,22 @@ def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) 
     M = sum_j w_j v_j v_j' is the information of the weights; phi is the
     quantity the engine's certificate orders, and sum_j w_j phi_j = 1.
     """
-    _, phi = _CappedCProblem(vectors, c, 1.0).criterion_and_sensitivity(np.asarray(weights, dtype=float))
+    problem = _CappedCProblem(vectors, c, 1.0)
+    _, phi = problem.criterion_and_sensitivity(problem.cholesky(np.asarray(weights, dtype=float)))
     if phi is None:
         raise InfeasibleDesignError("design information is singular for the target direction")
     return phi
 
 
 def _design_on_grid(design: ApproximateDesign, grid_points: np.ndarray) -> np.ndarray:
+    """Design weights over the ascending grid; each point must be within 1e-9 of exactly one grid point."""
+    ts, ws = design.as_arrays()
+    lo = np.searchsorted(grid_points, ts - 1e-9, side="left")
+    hits = np.searchsorted(grid_points, ts + 1e-9, side="right") - lo
+    if np.any(hits != 1):
+        raise ValidationError(f"design point {design.points[np.argmax(hits != 1)]} is not a grid point")
     w = np.zeros(grid_points.size)
-    for t, wt in zip(design.points, design.weights):
-        hits = np.flatnonzero(np.abs(grid_points - t) <= 1e-9)
-        if hits.size != 1:
-            raise ValidationError(f"design point {t} is not a grid point")
-        w[hits[0]] = wt
+    w[lo] = ws
     return w
 
 

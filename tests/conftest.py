@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adtplan import DegradationModel
+from adtplan import DegradationModel, ErrorSpec, PowerBasis
 
 # Nominal parameter set of the worked example used throughout the tests:
 # affine stress and time bases, stress-major beta, correlated random
@@ -26,6 +26,36 @@ T_MEDIAN = 1.5838873865203356
 @pytest.fixture(scope="session")
 def table1() -> DegradationModel:
     return DegradationModel.affine(**TABLE1)
+
+
+def quadratic_model() -> DegradationModel:
+    """Quadratic time basis over affine stress, with example1's error level and use condition."""
+    return DegradationModel(
+        stress_basis=PowerBasis(1),
+        time_basis=PowerBasis(2),
+        beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
+        sigma_gamma=(
+            (0.114**2, 0.0, 0.0),
+            (0.0, 0.105**2, 0.0),
+            (0.0, 0.0, 0.05**2),
+        ),
+        error_spec=ErrorSpec(sigma_eps=0.048),
+        x_u=-0.056,
+        y0=3.912,
+    )
+
+
+def cubic_model() -> DegradationModel:
+    """The cubic extension of quadratic_model."""
+    return DegradationModel(
+        stress_basis=PowerBasis(1),
+        time_basis=PowerBasis(3),
+        beta=(2.397, 1.018, 0.5, 0.1, 1.629, 0.0696, 0.02, 0.01),
+        sigma_gamma=np.diag(np.square((0.1, 0.1, 0.05, 0.05))).tolist(),
+        error_spec=ErrorSpec(sigma_eps=0.048),
+        x_u=-0.056,
+        y0=3.912,
+    )
 
 
 def perturbed_table1(scale: tuple[float, float, float], rho: float, x_u: float, t_median: float) -> DegradationModel:

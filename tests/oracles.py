@@ -11,6 +11,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy.optimize import linprog
 
 from adtplan import (
     ApproximateDesign,
@@ -84,6 +85,23 @@ def elfving_brute_force_oracle(model: DegradationModel, t_star: float, grid_n: i
         raise SingularDesignError("no support pair spans the target direction")
     _, i, j, w_i = best
     return ApproximateDesign(points=(float(ts[i]), float(ts[j])), weights=(w_i, 1.0 - w_i))
+
+
+def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
+    """Uncapped c-optimal criterion over the rows v_j of vectors, by linear programming.
+
+    By Elfving's theorem the optimal c' M^-1 c over all designs on the v_j
+    is (min sum_j |u_j|)^2 subject to sum_j u_j v_j = c (Elfving 1952).
+    Splitting u = u+ - u- with both parts non-negative makes this a linear
+    program (Harman & Jurik 2008), solved here by HiGHS.  Returns the
+    criterion and u, whose nonzero entries mark an optimal support.
+    """
+    V = np.asarray(vectors, dtype=float)
+    n = V.shape[0]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([V.T, -V.T]), b_eq=c, bounds=(0, None), method="highs")
+    if not res.success:
+        raise SingularDesignError(f"the Elfving program has no solution: {res.message}")
+    return float(res.fun) ** 2, res.x[:n] - res.x[n:]
 
 
 def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:

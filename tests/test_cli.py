@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from adtplan.cli import main
+from adtplan import Scenario, eval_delta, median_failure_time
+from adtplan.cli import cmd_quantile, main
+from conftest import quadratic_model
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "example1.scenario"
 
@@ -48,6 +51,15 @@ class TestQuantile:
         report = lines_as_dict(capsys.readouterr().out)
         assert report["exists"] == "false"
         assert math.isnan(float(report["t_alpha"]))
+
+    def test_quadratic_time_basis_reports_every_delta(self, capsys: pytest.CaptureFixture[str]) -> None:
+        # Scenario files cannot express this basis; a library-built scenario can.
+        model = quadratic_model()
+        assert cmd_quantile(argparse.Namespace(alpha=0.5), Scenario(model=model)) == 0
+        report = lines_as_dict(capsys.readouterr().out)
+        deltas = [repr(float(d)) for d in eval_delta(model)]
+        assert [report.get(f"delta_{i}") for i in (1, 2, 3, 4)] == [*deltas, None]
+        assert float(report["t_alpha"]) == pytest.approx(median_failure_time(model), rel=1e-12)
 
 
 class TestOptimizeTime:

@@ -35,10 +35,11 @@ from adtplan import (
     weighted_f2,
 )
 from adtplan.sweeps import candidate_time_designs
-from conftest import CORNER_RATIO, T_MEDIAN, perturbed_table1, random_affine_model
+from conftest import CORNER_RATIO, T_MEDIAN, cubic_model, perturbed_table1, quadratic_model, random_affine_model
 from oracles import (
     efficiencies_40_digits,
     elfving_brute_force_oracle,
+    elfving_lp_oracle,
     info_single_obs,
     kronecker_criterion_single_obs,
 )
@@ -361,6 +362,34 @@ class TestNumericDestructivePath:
         assert sup.points == (0.0, 1.0)
         closed = elfving_time_design(table1, T_MEDIAN)
         assert sup.weights[1] == pytest.approx(closed.weights[1], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "basis, J, t_star, reference",
+        [
+            ("quadratic", 100, 1.0458251905777058, 0.0508714357),
+            ("quadratic", 400, 2.0, 6.0271025525),
+            ("quadratic", 400, 3.0, 48.712062714),
+            ("cubic", 400, 1.05, None),
+            ("cubic", 400, 2.0, None),
+            ("cubic", 200, 3.0, None),
+        ],
+    )
+    def test_matches_elfving_lp_on_higher_degree_bases(
+        self, basis: str, J: int, t_star: float, reference: float | None
+    ) -> None:
+        model = quadratic_model() if basis == "quadratic" else cubic_model()
+        grid = GridSpec(J=J, k=1)
+        pts, c = grid.points(), model.time_basis.evaluate(t_star)
+        optimum, u = elfving_lp_oracle(weighted_f2(pts, model), c)
+        if reference is not None:
+            # The values an earlier LP run recorded, to the digits it kept.
+            assert optimum == pytest.approx(reference, rel=1e-9)
+        tau, cert = numeric_destructive_time_design(model, t_star, grid)
+        assert cert.certified
+        assert tau.points == tuple(pts[np.abs(u) > 1e-12])
+        V = weighted_f2(np.array(tau.points), model)
+        M = (V * np.array(tau.weights)[:, None]).T @ V
+        assert float(c @ np.linalg.solve(M, c)) == pytest.approx(optimum, rel=1e-9)
 
     def test_custom_grid_must_be_uncapped(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):

@@ -17,7 +17,6 @@ from adtplan import (
     ConfigurationError,
     DegradationModel,
     ErrorSpec,
-    PowerBasis,
     SweepRow,
     SweepSpec,
     SweepResult,
@@ -34,7 +33,7 @@ from adtplan import (
     vary_ratio_via_rho,
 )
 from adtplan.sweeps import candidate_time_designs
-from conftest import CORNER_RATIO, TABLE1, T_MEDIAN, perturbed_table1
+from conftest import CORNER_RATIO, TABLE1, T_MEDIAN, perturbed_table1, quadratic_model
 from oracles import efficiencies_40_digits, sweep_rows_reference
 
 NOMINAL_RATIO = 1.2234522034463164
@@ -301,13 +300,8 @@ class TestClosedFormMatchesReference:
 
 
 class TestSweepEdges:
-    def test_quadratic_time_basis_rejected(self, table1: DegradationModel) -> None:
-        quad = dataclasses.replace(
-            table1,
-            time_basis=PowerBasis(2),
-            beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
-            sigma_gamma=((0.114**2, 0.0, 0.0), (0.0, 0.105**2, 0.0), (0.0, 0.0, 0.05**2)),
-        )
+    def test_quadratic_time_basis_rejected(self) -> None:
+        quad = quadratic_model()
         for variable in ("t_median", "sigma_ratio"):
             with pytest.raises(ValidationError, match="affine"):
                 sweep_efficiency(default_sweep_spec(variable), quad)

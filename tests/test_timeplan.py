@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from adtplan import (
     ApproximateDesign,
     DegradationModel,
-    ErrorSpec,
     GridSpec,
     InfeasibleDesignError,
     OptimizerConfig,
@@ -28,7 +27,7 @@ from adtplan import (
     weighted_f2,
 )
 from adtplan.timeplan import design_sensitivity
-from conftest import T_MEDIAN
+from conftest import T_MEDIAN, cubic_model, quadratic_model
 from oracles import two_point_extrapolation_design
 
 TAU0 = ApproximateDesign(
@@ -67,20 +66,53 @@ class TestGridSpec:
             OptimizerConfig(tol=0.0)
 
 
-def _quadratic_model() -> DegradationModel:
-    return DegradationModel(
-        stress_basis=PowerBasis(1),
-        time_basis=PowerBasis(2),
-        beta=(2.397, 1.018, 0.5, 1.629, 0.0696, 0.02),
-        sigma_gamma=(
-            (0.114**2, 0.0, 0.0),
-            (0.0, 0.105**2, 0.0),
-            (0.0, 0.0, 0.05**2),
-        ),
-        error_spec=ErrorSpec(sigma_eps=0.048),
-        x_u=-0.056,
-        y0=3.912,
-    )
+# Engine outputs pinned bit for bit: (basis, J, k, t*, iterations,
+# max_violation, support as grid indices, unsaturated weights by grid index
+# (every other support point carries the cap 1/k), Cholesky factorizations).
+# k = 1 plans are the destructive designs on the weighted basis f2(t)/sigma(t).
+_PINNED_PLANS = [
+    (
+        "affine", 100, 3, 1.1, 6, 7.882583474838611e-15,
+        (0, 98, 99, 100),
+        {0: 0.09189249470279935, 98: 0.24144083863053395},
+        8,
+    ),
+    (
+        "quadratic", 294, 24, 2.391, 33, 8.524692696187941e-08,
+        (0, 1, 2, 3, 4, 139, 140, *range(141, 153), *range(287, 295)),
+        {
+            4: 0.023359378228986104,
+            139: 1.5822580170431868e-06,
+            152: 0.003748425028349307,
+            287: 0.014557281151314218,
+        },
+        35,
+    ),
+    (
+        "cubic", 62, 7, 1.343, 77, 4.595034241994256e-08,
+        (0, 15, 16, 45, 46, 47, 61, 62),
+        {0: 0.09124063698545905, 16: 0.08061668935698528, 47: 0.11385695937184143},
+        79,
+    ),
+    (
+        "affine", 400, 1, T_MEDIAN, 1, 2.3314683517128287e-15,
+        (0, 400),
+        {0: 0.23154533563279833, 400: 0.7684546643672017},
+        4,
+    ),
+    (
+        "quadratic", 100, 1, 1.0458251905777058, 14, 5.3512749786932545e-14,
+        (0, 46, 100),
+        {0: 0.03200539626239902, 46: 0.11394903897055306, 100: 0.8540455647670478},
+        16,
+    ),
+    (
+        "cubic", 400, 1, 1.05, 32, 1.7038592758922277e-12,
+        (0, 93, 287, 400),
+        {0: 0.029272075468830927, 93: 0.07406678101860133, 287: 0.19211277488099027, 400: 0.7045483686315775},
+        34,
+    ),
+]
 
 
 class TestExchangeEngine:
@@ -127,7 +159,7 @@ class TestExchangeEngine:
 
     def test_quadratic_cap1_design(self) -> None:
         # Regression: this design once raised a bare root-bracketing ValueError.
-        quad = _quadratic_model()
+        quad = quadratic_model()
         t_star = median_failure_time(quad)
         assert t_star == pytest.approx(1.0458, abs=1e-4)
         tau, cert = numeric_destructive_time_design(quad, t_star, GridSpec(J=100, k=1))
@@ -146,16 +178,7 @@ class TestExchangeEngine:
     def test_cubic_cap1_design_is_exact(self) -> None:
         # Three free weights on a four-point support: the closed-form finish
         # takes the certificate far below the pair steps' 1e-7 stopping gap.
-        cubic = DegradationModel(
-            stress_basis=PowerBasis(1),
-            time_basis=PowerBasis(3),
-            beta=(2.397, 1.018, 0.5, 0.1, 1.629, 0.0696, 0.02, 0.01),
-            sigma_gamma=np.diag(np.square((0.1, 0.1, 0.05, 0.05))).tolist(),
-            error_spec=ErrorSpec(sigma_eps=0.048),
-            x_u=-0.056,
-            y0=3.912,
-        )
-        tau, cert = numeric_destructive_time_design(cubic, 1.05, GridSpec(J=400, k=1))
+        tau, cert = numeric_destructive_time_design(cubic_model(), 1.05, GridSpec(J=400, k=1))
         assert cert.certified
         assert len(tau.points) == 4
         assert cert.max_violation <= 1e-10
@@ -168,6 +191,49 @@ class TestExchangeEngine:
         assert len(design.points) == k
         assert all(w == pytest.approx(1 / k, abs=1e-12) for w in design.weights)
         assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "basis, J, k, t_star, iterations, max_violation, support, free, factorizations", _PINNED_PLANS
+    )
+    def test_pinned_plans_and_one_factorization_per_step(
+        self,
+        table1: DegradationModel,
+        monkeypatch: pytest.MonkeyPatch,
+        basis: str,
+        J: int,
+        k: int,
+        t_star: float,
+        iterations: int,
+        max_violation: float,
+        support: tuple[int, ...],
+        free: dict[int, float],
+        factorizations: int,
+    ) -> None:
+        # Exact to the bit: the engine's arithmetic is deterministic, so any
+        # change to it shows here before it moves a criterion value.
+        model = {"affine": table1, "quadratic": quadratic_model(), "cubic": cubic_model()}[basis]
+        grid = GridSpec(J=J, k=k)
+        factored: list[bytes] = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a: np.ndarray) -> np.ndarray:
+            factored.append(a.tobytes())
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        if k == 1:
+            design, cert = numeric_destructive_time_design(model, t_star, grid)
+        else:
+            design, cert = optimize_time_plan(grid, model, t_star)
+        assert design.points == tuple(grid.points()[list(support)])
+        assert design.weights == tuple(free.get(j, grid.cap) for j in support)
+        assert cert.iterations == iterations
+        assert cert.max_violation == max_violation
+        # Two factors for the start (uniform design, start design), then one
+        # per accepted step, which the next step reuses; a trial the finish
+        # rejects costs one more, as on the affine k = 1 plan.
+        assert len(factored) == factorizations
+        assert len(set(factored)) == len(factored)
 
 
 class TestOptimizeTimePlan:
@@ -213,7 +279,7 @@ class TestOptimizeTimePlan:
 
     def test_k_below_basis_dim_is_infeasible(self, table1: DegradationModel) -> None:
         # k = 1 is the destructive regime and stays allowed; 2 <= k < dim is not.
-        quad = _quadratic_model()
+        quad = quadratic_model()
         with pytest.raises(InfeasibleDesignError):
             optimize_time_plan(GridSpec(J=20, k=2), quad, T_MEDIAN)
         design, _ = optimize_time_plan(GridSpec(J=50, k=1), table1, T_MEDIAN)
@@ -251,9 +317,19 @@ class TestKktCheck:
         assert len(cert.sensitivity) == 21
 
     def test_design_must_live_on_grid(self, table1: DegradationModel) -> None:
-        off = ApproximateDesign(points=(0.0, 0.333), weights=(0.5, 0.5))
-        with pytest.raises(ValidationError):
-            kkt_check(off, GridSpec(J=20, k=6), table1, T_MEDIAN)
+        grid = GridSpec(J=20, k=6)
+        # Within 1e-9 of a grid point counts as that point.
+        near = ApproximateDesign(
+            points=(0.0, 0.05 - 5e-10, 0.10 + 5e-10, 0.90 + 1e-10, 0.95 - 1e-10, 1.0), weights=TAU0.weights
+        )
+        assert kkt_check(near, grid, table1, T_MEDIAN) == kkt_check(TAU0, grid, table1, T_MEDIAN)
+        off = ApproximateDesign(points=(0.0, 0.05 + 1e-6, 1.0), weights=(0.25, 0.25, 0.5))
+        with pytest.raises(ValidationError, match=f"design point {0.05 + 1e-6} is not a grid point"):
+            kkt_check(off, grid, table1, T_MEDIAN)
+        # The first off-grid point is the one named.
+        off = ApproximateDesign(points=(0.0, 0.333, 0.6661), weights=(0.5, 0.25, 0.25))
+        with pytest.raises(ValidationError, match="design point 0.333 is not a grid point"):
+            kkt_check(off, grid, table1, T_MEDIAN)
 
 
 class TestRoundToExact:
