@@ -403,10 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_VALIDATION
     try:
         return _HANDLERS[args.subcommand](args, scenario)
-    except AdtPlanError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return _EXIT_VALIDATION
-    except OSError as e:
+    except (AdtPlanError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_VALIDATION
 

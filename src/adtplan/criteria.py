@@ -32,33 +32,15 @@ from .failure_time import median_failure_time, sigma_u2
 from .model import ApproximateDesign, DegradationModel
 
 __all__ = [
-    "TimeInfoMatrices",
     "CriterionReport",
     "info_time_fixed",
     "info_time_fixed_total",
-    "inv_info_time_mixed",
-    "time_info_matrices",
     "c_criterion_time",
     "info_stress",
     "stress_extrapolation_factor",
     "avar_median",
     "efficiency",
-    "extrapolation_time",
 ]
-
-
-@dataclass(frozen=True)
-class TimeInfoMatrices:
-    """Marginal time-design information, fixed-effect and mixed, plus the criterion split."""
-
-    M2: np.ndarray
-    M2_0: np.ndarray
-    criterion_fixed: float
-    criterion_random: float
-
-    @property
-    def criterion_total(self) -> float:
-        return self.criterion_fixed + self.criterion_random
 
 
 @dataclass(frozen=True)
@@ -67,14 +49,12 @@ class CriterionReport:
 
     criterion_total = criterion_fixed + criterion_random, where the random
     part f2(t*)' Sigma_gamma f2(t*) does not depend on the design.
-    stress_factor is filled only by avar_median.
     """
 
     criterion_total: float
     criterion_fixed: float
     criterion_random: float
     t_star: float
-    stress_factor: float | None = None
 
 
 def _deficient_direction(mat: np.ndarray, names: list[str]) -> str:
@@ -142,28 +122,6 @@ def info_time_fixed_total(design: ApproximateDesign, model: DegradationModel, k:
     return k * info_time_fixed(design, model)
 
 
-def inv_info_time_mixed(design: ApproximateDesign, model: DegradationModel) -> np.ndarray:
-    """Inverse mixed-model information M2^-1 = M2_0^-1 + Sigma_gamma."""
-    M2_0 = info_time_fixed(design, model)
-    inv_fixed = _spd_solve(M2_0, np.eye(model.p2), "t")
-    out = inv_fixed + model.sigma_gamma_matrix()
-    return 0.5 * (out + out.T)
-
-
-def time_info_matrices(design: ApproximateDesign, model: DegradationModel, t_star: float) -> TimeInfoMatrices:
-    """Bundle of both marginal information matrices and the criterion split at t_star."""
-    M2_0 = info_time_fixed(design, model)
-    f2 = model.time_basis.evaluate(t_star)
-    inv_fixed = _spd_solve(M2_0, np.eye(model.p2), "t")
-    M2_inv = inv_fixed + model.sigma_gamma_matrix()
-    return TimeInfoMatrices(
-        M2=np.linalg.inv(M2_inv),
-        M2_0=M2_0,
-        criterion_fixed=float(f2 @ inv_fixed @ f2),
-        criterion_random=float(f2 @ model.sigma_gamma_matrix() @ f2),
-    )
-
-
 def c_criterion_time(design: ApproximateDesign, model: DegradationModel, t_star: float) -> CriterionReport:
     """Marginal c-criterion f2(t*)' M2^-1 f2(t*) of a time plan, split into parts."""
     if not (t_star > 0.0):
@@ -221,18 +179,3 @@ def efficiency(
     ref = c_criterion_time(reference_optimal, model, t_star).criterion_total
     cand = c_criterion_time(candidate, model, t_star).criterion_total
     return ref / cand
-
-
-def extrapolation_time(model: DegradationModel, alpha: float = 0.5) -> float:
-    """Failure-time quantile used as the design extrapolation target.
-
-    Only the median is supported: for alpha != 0.5 the criterion would need
-    the sensitivity of the path variance to the covariance parameters, which
-    this planning model does not carry.
-    """
-    if alpha != 0.5:
-        raise ValidationError(
-            f"design criteria are defined for the median only (alpha = 0.5); got alpha = {alpha}. "
-            "Quantile estimation itself is available for any level via adtplan.quantile."
-        )
-    return median_failure_time(model)

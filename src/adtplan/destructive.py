@@ -80,26 +80,18 @@ class VarianceFunction:
 
 @dataclass(frozen=True)
 class ProductDesign:
-    """Cross-product of a stress design and a time design.
-
-    combined lists ((x, t), weight) pairs in lexicographic (x, t) order with
-    weight equal to the product of the marginal weights.
-    """
+    """Cross-product of a stress design and a time design."""
 
     stress_design: ApproximateDesign
     time_design: ApproximateDesign
-    combined: tuple[tuple[tuple[float, float], float], ...]
 
-    def __post_init__(self) -> None:
-        total = math.fsum(w for _, w in self.combined)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"combined weights must sum to 1, got {total!r}")
-        for (x, t), w in self.combined:
-            expected = self.stress_design.weight_of(x) * self.time_design.weight_of(t)
-            if abs(w - expected) > 1e-12:
-                raise ValidationError(
-                    f"combined weight at ({x}, {t}) is {w}, not the product of marginals {expected}"
-                )
+    @property
+    def combined(self) -> tuple[tuple[tuple[float, float], float], ...]:
+        """((x, t), weight) pairs in lexicographic (x, t) order, weight the product of the marginal weights."""
+        xi, tau = self.stress_design, self.time_design
+        return tuple(
+            ((x, t), wx * wt) for x, wx in zip(xi.points, xi.weights) for t, wt in zip(tau.points, tau.weights)
+        )
 
 
 def weighted_f2(t: float | np.ndarray, model: DegradationModel) -> np.ndarray:
@@ -170,12 +162,7 @@ def elfving_stress_design(model: DegradationModel) -> ApproximateDesign:
 
 def product_design(xi: ApproximateDesign, tau: ApproximateDesign) -> ProductDesign:
     """Cross-product design with multiplied weights, (x, t) lexicographic."""
-    combined = tuple(
-        ((x, t), wx * wt)
-        for x, wx in zip(xi.points, xi.weights)
-        for t, wt in zip(tau.points, tau.weights)
-    )
-    return ProductDesign(stress_design=xi, time_design=tau, combined=combined)
+    return ProductDesign(stress_design=xi, time_design=tau)
 
 
 def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_star: float) -> float:

@@ -259,13 +259,6 @@ class ApproximateDesign:
             weights=tuple(w / total for _, w in kept),
         )
 
-    def weight_of(self, t: float, atol: float = 1e-12) -> float:
-        """Weight at point t (0 if t is not a support point)."""
-        for p, w in zip(self.points, self.weights):
-            if abs(p - t) <= atol:
-                return w
-        return 0.0
-
 
 def eval_delta(model: DegradationModel) -> np.ndarray:
     """Aggregate time-path coefficients at the use condition.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,8 +102,7 @@ class SweepSpec:
         return np.geomspace(self.lo, self.hi, self.n_points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     abscissa: float
     pi_star: float
     efficiencies: tuple[float, ...]
@@ -221,10 +220,10 @@ def _pi_star_column(spec: SweepSpec, base: DegradationModel, t_star: float) -> n
 def _result(
     spec: SweepSpec, base: DegradationModel, pi: np.ndarray, effs: np.ndarray, reachable: np.ndarray
 ) -> SweepResult:
-    rows = zip(spec.abscissae().tolist(), pi.tolist(), effs.tolist(), reachable.tolist())
+    rows = map(SweepRow, spec.abscissae().tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
     return SweepResult(
         spec=spec,
-        rows=tuple(SweepRow(abscissa=a, pi_star=p, efficiencies=tuple(e), reachable=r) for a, p, e, r in rows),
+        rows=tuple(rows),
         nominal_t_median=median_failure_time(base),
         nominal_ratio=VarianceFunction(base).ratio_end_over_start(),
     )

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .criteria import c_criterion_time
 from .errors import InfeasibleDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -44,6 +45,11 @@ __all__ = [
 
 # Share of its norm a start point keeps outside the span of those chosen before.
 _START_INDEPENDENCE = 0.1
+
+# Certificate tolerance, one value for three uses: the largest ordering
+# violation a certified design may show, the engine's stopping gap in phi, and
+# how close a weight must be to 0 or to the cap to count as zero or saturated.
+_TOL = 1e-7
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,16 +86,13 @@ class GridSpec:
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
-    """max_iters bounds the number of exchange steps; tol is the certificate's tolerance."""
+    """max_iters bounds the number of exchange steps."""
 
     max_iters: int = 10_000
-    tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValidationError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not (self.tol > 0.0):
-            raise ValidationError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -295,17 +298,15 @@ def _ordering_violation(phi: np.ndarray, saturated: np.ndarray, interior: np.nda
     return float(max(*gaps, 0.0))
 
 
-def _certificate(
-    w: np.ndarray, phi: np.ndarray, cap: float, tol: float, iterations: int
-) -> OptimalityCertificate:
-    saturated, interior, zero = _classify(w, cap, tol)
+def _certificate(w: np.ndarray, phi: np.ndarray, cap: float, iterations: int) -> OptimalityCertificate:
+    saturated, interior, zero = _classify(w, cap, _TOL)
     return OptimalityCertificate(
         max_violation=_ordering_violation(phi, saturated, interior, zero),
         saturated_set=tuple(np.flatnonzero(saturated).tolist()),
         interior_set=tuple(np.flatnonzero(interior).tolist()),
         zero_set=tuple(np.flatnonzero(zero).tolist()),
         sensitivity=tuple(phi.tolist()),
-        tol=tol,
+        tol=_TOL,
         iterations=iterations,
     )
 
@@ -326,8 +327,8 @@ def optimize_capped_weights(
     after every step, which test suites use to watch feasibility and
     monotonicity; the criterion passed is the start value less the exact
     decrease of each step.  The loop stops when phi on the unsaturated
-    points exceeds phi on the supported points by at most tol, which bounds
-    the certificate's violation, or after cfg.max_iters steps.
+    points exceeds phi on the supported points by at most the certificate's
+    tolerance, which bounds its violation, or after cfg.max_iters steps.
 
     Cost: one Cholesky factorization of the p x p information matrix per
     trial design (two for the start), plus O(n p) per round for the
@@ -362,16 +363,16 @@ def optimize_capped_weights(
             break
         d = positive[np.argmin(phi[positive])]
         r = open_[np.argmax(phi[open_])]
-        if phi[r] - phi[d] <= cfg.tol or not step(problem.exchange, r, d):
+        if phi[r] - phi[d] <= _TOL or not step(problem.exchange, r, d):
             break
         interior = np.flatnonzero((w > 0.0) & (w < problem.cap)).tolist()
         for a, i in enumerate(interior):
             for j in interior[a + 1 :]:
-                step(problem.exchange, i, j, cfg.tol)
+                step(problem.exchange, i, j, _TOL)
         step(problem.finish)
         _, phi = problem.criterion_and_sensitivity(problem.L)
 
-    return w, _certificate(w, phi, problem.cap, cfg.tol, iteration)
+    return w, _certificate(w, phi, problem.cap, iteration)
 
 
 def _time_problem(model: DegradationModel, grid_points: np.ndarray, t_star: float) -> tuple[np.ndarray, np.ndarray]:
@@ -459,7 +460,6 @@ def kkt_check(
     grid: GridSpec,
     model: DegradationModel,
     t_star: float,
-    tol: float = 1e-7,
 ) -> OptimalityCertificate:
     """First-order optimality certificate of a grid-supported design.
 
@@ -469,7 +469,7 @@ def kkt_check(
     pts = grid.points()
     w = _design_on_grid(design, pts)
     phi = design_sensitivity(*_time_problem(model, pts, t_star), w)
-    return _certificate(w, phi, grid.cap, tol, iterations=0)
+    return _certificate(w, phi, grid.cap, iterations=0)
 
 
 def round_to_exact(
@@ -531,8 +531,6 @@ def round_to_exact(
         phi = design_sensitivity(*_time_problem(model, ts, t_star), ws)
         ranked = sorted(candidates.tolist(), key=lambda i: (-phi[i], ts[i]))
         choices = [tuple(sorted(ranked[:n_slots]))]
-
-    from .criteria import c_criterion_time  # local import to avoid a cycle
 
     def score(choice: tuple[int, ...]) -> tuple[float, int, tuple[float, ...]]:
         cand = exact_design(choice)

@@ -290,3 +290,28 @@ def test_stdout_matches_golden(name: str, tmp_path: Path, capsys: pytest.Capture
     if "--out" in argv:
         written = Path(argv[argv.index("--out") + 1])
         assert written.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["optimize_time", "optimize_destructive_t2.5"])
+def test_design_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # output.format json writes the rows of the design CSV as objects with the same keys and values.
+    scn = tmp_path / "json.scenario"
+    scn.write_text(SCENARIO.read_text() + "output:\n  format: json\n")
+    out = tmp_path / "design.json"
+    argv = [a.format(tmp=tmp_path) for a in GOLDEN_RUNS[name]]
+    argv[argv.index("--out") + 1] = str(out)
+    assert main([argv[0], "--scenario", str(scn), *argv[1:]]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    with (GOLDEN / f"{name}.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [list(obj) for obj in payload] == [["t", "weight", "sensitivity", "saturated"]] * len(rows)
+    assert payload == [
+        {
+            "t": float(r["t"]),
+            "weight": float(r["weight"]),
+            "sensitivity": float(r["sensitivity"]),
+            "saturated": r["saturated"] == "true",
+        }
+        for r in rows
+    ]

@@ -16,14 +16,11 @@ from adtplan import (
     c_criterion_time,
     efficiency,
     elfving_stress_design,
-    extrapolation_time,
     info_stress,
     info_time_fixed,
     info_time_fixed_total,
-    inv_info_time_mixed,
     median_failure_time,
     stress_extrapolation_factor,
-    time_info_matrices,
 )
 from conftest import T_MEDIAN, random_affine_model
 
@@ -110,11 +107,6 @@ class TestMixedDecomposition:
             )
             assert np.allclose(direct, decomposed, rtol=1e-8)
 
-    def test_per_observation_variant(self, table1: DegradationModel) -> None:
-        inv_mixed = inv_info_time_mixed(TAU0, table1)
-        expected = np.linalg.inv(info_time_fixed(TAU0, table1)) + np.array(table1.sigma_gamma)
-        assert np.allclose(inv_mixed, expected, rtol=1e-12)
-
 
 class TestCriterion:
     def test_frozen_tau0_split(self, table1: DegradationModel) -> None:
@@ -128,14 +120,6 @@ class TestCriterion:
         a = c_criterion_time(TAU0, table1, T_MEDIAN)
         b = c_criterion_time(other, table1, T_MEDIAN)
         assert a.criterion_random == pytest.approx(b.criterion_random, rel=1e-14)
-
-    def test_bundle_agrees_with_report(self, table1: DegradationModel) -> None:
-        bundle = time_info_matrices(TAU0, table1, T_MEDIAN)
-        report = c_criterion_time(TAU0, table1, T_MEDIAN)
-        assert bundle.criterion_total == pytest.approx(report.criterion_total, rel=1e-14)
-        assert np.allclose(
-            bundle.M2 @ inv_info_time_mixed(TAU0, table1), np.eye(2), atol=1e-10
-        )
 
     def test_singular_design_names_direction(self, table1: DegradationModel) -> None:
         one_point = ApproximateDesign(points=(0.5,), weights=(1.0,))
@@ -171,10 +155,3 @@ class TestEfficiency:
     def test_worse_design_scores_below_one(self, table1: DegradationModel) -> None:
         lopsided = ApproximateDesign(points=(0.4, 0.6), weights=(0.5, 0.5))
         assert efficiency(lopsided, TAU0, table1, T_MEDIAN) < 1.0
-
-
-class TestExtrapolationTime:
-    def test_median_only(self, table1: DegradationModel) -> None:
-        assert extrapolation_time(table1) == pytest.approx(T_MEDIAN)
-        with pytest.raises(ValidationError, match="median"):
-            extrapolation_time(table1, alpha=0.9)

@@ -14,7 +14,6 @@ from adtplan import (
     GridSpec,
     OutOfRegimeError,
     PowerBasis,
-    ProductDesign,
     SingularDesignError,
     ValidationError,
     VarianceFunction,
@@ -253,15 +252,21 @@ class TestProductDesign:
             rel=1e-12,
         )
 
-    def test_mismatched_combined_rejected(self) -> None:
-        xi = ApproximateDesign(points=(0.0, 1.0), weights=(0.5, 0.5))
-        tau = ApproximateDesign(points=(0.0, 1.0), weights=(0.3, 0.7))
-        with pytest.raises(ValidationError):
-            ProductDesign(
-                stress_design=xi,
-                time_design=tau,
-                combined=(((0.0, 0.0), 0.25), ((0.0, 1.0), 0.25), ((1.0, 0.0), 0.25), ((1.0, 1.0), 0.25)),
-            )
+    def test_marginals_at_the_sum_tolerance(self, table1: DegradationModel) -> None:
+        # Each marginal sums to 1 + 9e-13, inside ApproximateDesign's 1e-12;
+        # their product sums to about 1 + 1.8e-12 and must still be accepted.
+        xi = ApproximateDesign(points=(0.0, 1.0), weights=(0.3, 0.7 + 9e-13))
+        tau = ApproximateDesign(points=(0.0, 1.0), weights=(0.4, 0.6 + 9e-13))
+        zeta = product_design(xi, tau)
+        assert zeta.combined == (
+            ((0.0, 0.0), 0.3 * 0.4),
+            ((0.0, 1.0), 0.3 * (0.6 + 9e-13)),
+            ((1.0, 0.0), (0.7 + 9e-13) * 0.4),
+            ((1.0, 1.0), (0.7 + 9e-13) * (0.6 + 9e-13)),
+        )
+        assert c_criterion_single_obs(zeta, table1, T_MEDIAN) == pytest.approx(
+            kronecker_criterion_single_obs(zeta, table1, T_MEDIAN), rel=1e-13, abs=0.0
+        )
 
 
 class TestSingleObsInformation:

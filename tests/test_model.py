@@ -154,8 +154,6 @@ class TestApproximateDesign:
 
     def test_weight_lookup_and_support(self) -> None:
         design = ApproximateDesign(points=(0.0, 0.5, 1.0), weights=(0.25, 0.0, 0.75))
-        assert design.weight_of(0.5) == 0.0
-        assert design.weight_of(0.25) == 0.0
         trimmed = design.support()
         assert trimmed.points == (0.0, 1.0)
         assert trimmed.weights == (0.25, 0.75)

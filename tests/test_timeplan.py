@@ -62,8 +62,6 @@ class TestGridSpec:
     def test_optimizer_config_validation(self) -> None:
         with pytest.raises(ValidationError):
             OptimizerConfig(max_iters=0)
-        with pytest.raises(ValidationError):
-            OptimizerConfig(tol=0.0)
 
 
 # Engine outputs pinned bit for bit: (basis, J, k, t*, iterations,
