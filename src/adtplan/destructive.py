@@ -134,8 +134,12 @@ def elfving_time_design(model: DegradationModel, t_star: float) -> ApproximateDe
             f"t_star = {t_star} <= 1 is out of the extrapolation regime; "
             "use numeric_destructive_time_design"
         )
-    var = VarianceFunction(model)
-    pi1 = pi_star_from_ratio(t_star, var.ratio_end_over_start())
+    return _endpoint_design(t_star, VarianceFunction(model).ratio_end_over_start())
+
+
+def _endpoint_design(t_star: float, ratio: float) -> ApproximateDesign:
+    """elfving_time_design from the ratio sigma(1)/sigma(0): {0, 1} with pi* at t = 1."""
+    pi1 = pi_star_from_ratio(t_star, ratio)
     return ApproximateDesign(points=(0.0, 1.0), weights=(1.0 - pi1, pi1))
 
 
@@ -201,9 +205,10 @@ def numeric_destructive_time_design(
 ) -> tuple[ApproximateDesign, OptimalityCertificate]:
     """Destructive time design by grid optimization on the weighted basis.
 
-    General path for bases without an Elfving closed form: the capped-grid
-    engine runs with cap 1 (no repeated-measures constraint) on f2~(t).  On
-    affine models this reproduces elfving_time_design up to grid resolution.
+    General path for bases without an Elfving closed form and for t* <= 1:
+    Elfving's linear program over f2~(t) on the grid (cap 1), whose optimum
+    at a t* <= 1 on the grid is the one-point design there.  On affine
+    models with t* > 1 this reproduces elfving_time_design to grid resolution.
     """
     if grid is None:
         grid = GridSpec(J=400, k=1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
@@ -96,19 +97,28 @@ def h(t: float | np.ndarray, model: DegradationModel) -> float | np.ndarray:
     IndeterminateMarginError for the 0/0 case; for an array of times, at
     the first such time.
     """
+    if np.ndim(t) == 0:
+        return _margin_function(model)(t)
     s = sigma_u(t, model)
-    margin = mu_aggregate(t, model) - model.y0
-    if np.ndim(t):
-        zero = np.flatnonzero(s == 0.0)
-        if zero.size == 0:
-            return margin / s
-        # Fall through to the scalar check at the first zero-variance time.
-        t, s, margin = t[zero[0]], 0.0, margin[zero[0]]
-    if s == 0.0:
-        if margin == 0.0:
-            raise IndeterminateMarginError(f"sigma_u({t}) = 0 and mu({t}) = y0: margin is 0/0")
-        raise DegenerateVarianceError(f"sigma_u({t}) = 0 while mu({t}) != y0")
-    return margin / s
+    zero = np.flatnonzero(s == 0.0)
+    # The scalar path raises at the first zero-variance time.
+    return (mu_aggregate(t, model) - model.y0) / s if zero.size == 0 else h(float(t[zero[0]]), model)
+
+
+def _margin_function(model: DegradationModel) -> Callable[[float], float]:
+    """h at one time: delta and Sigma_gamma derived once, f2(t) once per call, the bits of h's formula."""
+    delta, sg, y0 = eval_delta(model), model.sigma_gamma_matrix(), model.y0
+
+    def margin_at(t: float) -> float:
+        f2 = model.time_basis.evaluate(t)
+        s, margin = math.sqrt(max(float(f2 @ sg @ f2), 0.0)), float(f2 @ delta) - y0
+        if s == 0.0:
+            if margin == 0.0:
+                raise IndeterminateMarginError(f"sigma_u({t}) = 0 and mu({t}) = y0: margin is 0/0")
+            raise DegenerateVarianceError(f"sigma_u({t}) = 0 while mu({t}) != y0")
+        return margin / s
+
+    return margin_at
 
 
 def failure_cdf(t: float, model: DegradationModel) -> float:
@@ -147,7 +157,8 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
     z = NormalDist().inv_cdf(alpha)
-    h0 = h(0.0, model)
+    h_at = _margin_function(model)
+    h0 = h_at(0.0)
     if z <= h0:
         return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(0.0, 0.0))
 
@@ -170,7 +181,7 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
             return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(0.0, 0.0))
 
     lo, hi = 0.0, 1.0
-    while h(hi, model) < z:
+    while h_at(hi) < z:
         hi *= 2.0
         if hi > _BRACKET_LIMIT:
             return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(lo, hi))
@@ -188,11 +199,11 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     a, b = lo, hi
     mid = 0.5 * (a + b)
     while a < mid < b:
-        if h(mid, model) < z:
+        if h_at(mid) < z:
             a = mid
         else:
             b = mid
         mid = 0.5 * (a + b)
-    if abs(h(b, model) - z) > _H_TOL:
-        raise NonMonotoneMarginError(f"root residual {abs(h(b, model) - z)} exceeds {_H_TOL}")
+    if abs(h_at(b) - z) > _H_TOL:
+        raise NonMonotoneMarginError(f"root residual {abs(h_at(b) - z)} exceeds {_H_TOL}")
     return QuantileResult(t_alpha=b, exists=True, bounds_used=(lo, hi))

@@ -30,7 +30,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .destructive import VarianceFunction, elfving_stress_design, elfving_time_design, pi_star_from_ratio
+from .destructive import (
+    VarianceFunction,
+    _endpoint_design,
+    elfving_stress_design,
+    elfving_time_design,
+    pi_star_from_ratio,
+)
 from .errors import OutOfRegimeError, ValidationError
 from .failure_time import median_failure_time
 from .model import ApproximateDesign, DegradationModel, sigma_gamma_from_sd_corr
@@ -199,34 +205,28 @@ def vary_ratio_via_rho(target_ratio: float, model: DegradationModel) -> Degradat
     return dataclasses.replace(model, sigma_gamma=sigma_gamma_from_sd_corr(s1, s2, rho))
 
 
-def _resolve_nominals(spec: SweepSpec, model: DegradationModel) -> tuple[DegradationModel, float]:
-    """Apply held_fixed and return (base model, pinned median) for the sweep."""
+def _resolve_nominals(spec: SweepSpec, model: DegradationModel) -> tuple[DegradationModel, float, float, float]:
+    """Apply held_fixed: (base model, pinned median, base median, base ratio sigma(1)/sigma(0))."""
     if spec.variable == "t_median":
         base = model if spec.held_fixed is None else vary_ratio_via_rho(spec.held_fixed, model)
-        return base, median_failure_time(base)
-    t_star = median_failure_time(model) if spec.held_fixed is None else spec.held_fixed
-    if not (t_star > 1.0):
-        raise OutOfRegimeError(f"ratio sweeps need a median beyond the horizon, got {t_star}")
-    return model, t_star
-
-
-def _pi_star_column(spec: SweepSpec, base: DegradationModel, t_star: float) -> np.ndarray:
-    """pi* at every abscissa: of t* at the base ratio, or of the ratio at t*."""
-    if spec.variable == "t_median":
-        return pi_star_from_ratio(spec.abscissae(), VarianceFunction(base).ratio_end_over_start())
-    return pi_star_from_ratio(t_star, spec.abscissae())
+        t_star = t_median = median_failure_time(base)
+    else:
+        base = model
+        t_star = median_failure_time(model) if spec.held_fixed is None else spec.held_fixed
+        if not (t_star > 1.0):
+            raise OutOfRegimeError(f"ratio sweeps need a median beyond the horizon, got {t_star}")
+        t_median = t_star if spec.held_fixed is None else median_failure_time(base)
+    return base, t_star, t_median, VarianceFunction(base).ratio_end_over_start()
 
 
 def _result(
-    spec: SweepSpec, base: DegradationModel, pi: np.ndarray, effs: np.ndarray, reachable: np.ndarray
+    spec: SweepSpec, t_star: float, t_median: float, ratio: float, effs: np.ndarray, reachable: np.ndarray
 ) -> SweepResult:
-    rows = map(SweepRow, spec.abscissae().tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
-    return SweepResult(
-        spec=spec,
-        rows=tuple(rows),
-        nominal_t_median=median_failure_time(base),
-        nominal_ratio=VarianceFunction(base).ratio_end_over_start(),
-    )
+    """Rows with pi* at every abscissa (of t* at the base ratio, or of the ratio at t*) and the nominal markers."""
+    a = spec.abscissae()
+    pi = pi_star_from_ratio(a, ratio) if spec.variable == "t_median" else pi_star_from_ratio(t_star, a)
+    rows = map(SweepRow, a.tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
+    return SweepResult(spec=spec, rows=tuple(rows), nominal_t_median=t_median, nominal_ratio=ratio)
 
 
 def sweep_pi_star(spec: SweepSpec, model: DegradationModel) -> SweepResult:
@@ -239,9 +239,9 @@ def sweep_pi_star(spec: SweepSpec, model: DegradationModel) -> SweepResult:
     """
     if not model.time_basis.is_affine:
         raise ValidationError("pi* sweeps require the affine time basis")
-    base, t_star = _resolve_nominals(spec, model)
+    _, t_star, t_median, ratio = _resolve_nominals(spec, model)
     n = spec.n_points
-    return _result(spec, base, _pi_star_column(spec, base, t_star), np.empty((n, 0)), np.ones(n, dtype=bool))
+    return _result(spec, t_star, t_median, ratio, np.empty((n, 0)), np.ones(n, dtype=bool))
 
 
 def candidate_time_designs(names: Sequence[str], model: DegradationModel, t_star: float) -> dict[str, ApproximateDesign]:
@@ -250,13 +250,15 @@ def candidate_time_designs(names: Sequence[str], model: DegradationModel, t_star
     Every candidate crosses its time design with the model's Elfving stress
     design, so the time design is all that tells candidates apart.
     """
-    built: dict[str, ApproximateDesign] = {}
-    for name in names:
-        if name == CANDIDATE_ZETA_STAR:
-            built[name] = elfving_time_design(model, t_star)
-        else:
-            built[name] = uniform_time_design(2 if name == CANDIDATE_TAU2 else 6)
-    return built
+    return _candidates(names, elfving_time_design(model, t_star) if CANDIDATE_ZETA_STAR in names else None)
+
+
+def _candidates(names: Sequence[str], zeta_star: ApproximateDesign | None) -> dict[str, ApproximateDesign]:
+    """The named candidates' time designs, zeta_star the Elfving one (None when it is not named)."""
+    return {
+        name: zeta_star if name == CANDIDATE_ZETA_STAR else uniform_time_design(2 if name == CANDIDATE_TAU2 else 6)
+        for name in names
+    }
 
 
 def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
@@ -270,10 +272,10 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
     """
     if not (model.time_basis.is_affine and model.stress_basis.is_affine):
         raise ValidationError("efficiency sweeps require affine stress and time bases")
-    base, t_nom = _resolve_nominals(spec, model)
+    base, t_nom, t_median, ratio = _resolve_nominals(spec, model)
     elfving_stress_design(base)  # cancels from every efficiency; raises if x_u lies in [0, 1]
-    candidates = candidate_time_designs(spec.candidates, base, t_nom)
-    pi = _pi_star_column(spec, base, t_nom)
+    zeta_star = _endpoint_design(t_nom, ratio) if CANDIDATE_ZETA_STAR in spec.candidates else None
+    candidates = _candidates(spec.candidates, zeta_star)
     a = spec.abscissae()
     sg = base.sigma_gamma_matrix()
     if spec.variable == "t_median":
@@ -283,7 +285,7 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         t = np.full(a.size, t_nom)
         if sg[1, 1] == 0.0:  # sigma2 = 0: moving rho reaches no ratio
             nan = np.full((a.size, len(spec.candidates)), math.nan)
-            return _result(spec, base, pi, nan, np.zeros(a.size, dtype=bool))
+            return _result(spec, t_nom, t_median, ratio, nan, np.zeros(a.size, dtype=bool))
         s1, s2, rho = _rho_for_ratios(a, base)
         reachable = np.abs(rho) <= 1.0 + _RHO_SLACK
         s00, s01, s11 = s1**2, (np.clip(rho, -1.0, 1.0) * s1 * s2)[:, None], s2**2
@@ -302,7 +304,7 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         spread = (q[:, i] * q[:, j] * (pts[i] - pts[j]) ** 2).sum(axis=1)
         effs[:, col] = best / ((q * (t[:, None] - pts) ** 2).sum(axis=1) / spread)
     effs[~reachable] = math.nan
-    return _result(spec, base, pi, effs, reachable)
+    return _result(spec, t_nom, t_median, ratio, effs, reachable)
 
 
 def default_sweep_spec(variable: str) -> SweepSpec:

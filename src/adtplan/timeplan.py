@@ -9,14 +9,15 @@ the optimal plan is free of the random-coefficient covariance altogether:
 the optimizer reads only the time basis, the error standard deviation, the
 grid, and the extrapolation time.
 
-Algorithm: pair exchange with an exact step (REX; Harman, Filova &
-Richtarik 2020).  Weight moves from the supported point of lowest
-sensitivity phi to the unsaturated point of highest phi, then between
-interior points, each time by the exact line minimum; a support of exactly
-p points gets its free weights in closed form.  Every result carries a
-first-order (KKT) certificate from the bounded-design equivalence theorem
-(Sahm & Schwabe 2001): phi must be largest on saturated points, constant on
-interior points, and smallest on zero-weight points.
+Caps of at most 1/p (k >= p measurements per unit): pair exchange with an
+exact step (REX; Harman, Filova & Richtarik 2020).  Weight moves from the
+supported point of lowest sensitivity phi to the unsaturated point of
+highest phi, then between interior points, each time by the exact line
+minimum.  Cap 1 (k = 1): Elfving's linear program by a p-row simplex, whose
+optimum may be singular.  Every result carries a first-order (KKT)
+certificate from the bounded-design equivalence theorem (Sahm & Schwabe
+2001): phi must be largest on saturated points, constant on interior
+points, and smallest on zero-weight points.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ _START_INDEPENDENCE = 0.1
 # violation a certified design may show, the engine's stopping gap in phi, and
 # how close a weight must be to 0 or to the cap to count as zero or saturated.
 _TOL = 1e-7
+
+# Elfving's simplex: a relative change below _LP_TOL counts as none (in a
+# price against 1, the objective, or c); pivots need d_i > _PIVOT_TOL max|d|.
+_LP_TOL, _PIVOT_TOL = 1e-12, 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,10 +174,6 @@ class _CappedCProblem:
         b = self.V @ np.linalg.solve(L.T, y)
         return crit, b * b / crit
 
-    def _accept(self, trial: np.ndarray, L: np.ndarray) -> None:
-        self.w[:] = trial
-        self.L = L
-
     def exchange(self, i: int, j: int, min_gap: float = 0.0) -> float | None:
         """Exact line search for moving weight between points i and j of the iterate.
 
@@ -205,9 +206,6 @@ class _CappedCProblem:
             return None
         step = min(limit, _first_positive_root(qa, qb, qc))
         empties = step == w[d]
-        # Emptying d while r is already supported would leave p - 1 points.
-        if empties and w[r] > 0.0 and np.count_nonzero(w) <= self.p:
-            return None
         decrease = step * (n0 + n1 * step) / (d2 * step * step + d1 * step - 1.0)
         if not decrease > 0.0:
             return None
@@ -217,38 +215,7 @@ class _CappedCProblem:
         L = self.cholesky(trial)
         if L is None:
             return None
-        self._accept(trial, L)
-        return decrease
-
-    def finish(self) -> float | None:
-        """Closed-form free weights when the iterate has a support of exactly p points.
-
-        With V_S the square matrix of the support rows and V_S' u = c, the
-        criterion is sum_S u_j^2 / w_j; keeping the saturated weights, the
-        free ones minimizing it are proportional to |u_j| (Elfving).  Returns
-        the decrease of the criterion, or None when the closed form is not a
-        better feasible design.
-        """
-        w = self.w
-        support = np.flatnonzero(w)
-        free = w[support] < self.cap
-        if support.size != self.p or np.count_nonzero(free) < 2:
-            return None
-        try:
-            share = np.abs(np.linalg.solve(self.V[support].T, self.c))[free]
-        except np.linalg.LinAlgError:
-            return None
-        trial = w.copy()
-        trial[support[free]] = w[support[free]].sum() * share / share.sum()
-        if not np.all((trial[support] > 0.0) & (trial[support] <= self.cap)):
-            return None
-        # Both criteria recomputed from their factors: the caller's running
-        # value differs in its last bits and would flip marginal decisions.
-        L = self.cholesky(trial)
-        decrease = self.criterion_and_sensitivity(self.L)[0] - self.criterion_and_sensitivity(L)[0]
-        if not decrease > 0.0:
-            return None
-        self._accept(trial, L)
+        self.w[:], self.L = trial, L
         return decrease
 
     def start(self) -> None:
@@ -323,21 +290,28 @@ def optimize_capped_weights(
     Generic engine shared by the time-plan and destructive-design fronts;
     rows of ``vectors`` are the candidate regression vectors v_j.  Returns
     the weight vector over all candidates together with its certificate.
-    ``callback(iteration, criterion, weights)`` is invoked at the start and
-    after every step, which test suites use to watch feasibility and
-    monotonicity; the criterion passed is the start value less the exact
-    decrease of each step.  The loop stops when phi on the unsaturated
-    points exceeds phi on the supported points by at most the certificate's
-    tolerance, which bounds its violation, or after cfg.max_iters steps.
+    Cap 1 runs Elfving's simplex, a cap of at most 1/p the exchange; caps in
+    between raise ValidationError.  ``callback(iteration, criterion,
+    weights)`` is invoked at the start and after every step or pivot, which
+    test suites use to watch feasibility and monotonicity; the criterion
+    passed is the start value less the exact decrease of each step.  The
+    exchange stops when phi on the unsaturated points exceeds phi on the
+    supported points by at most the certificate's tolerance, the simplex at
+    its optimum, and both after cfg.max_iters steps.
 
-    Cost: one Cholesky factorization of the p x p information matrix per
-    trial design (two for the start), plus O(n p) per round for the
-    sensitivities over all n candidates.  The factor of the current iterate
-    is carried between steps, so an accepted trial is never factorized again.
+    Cost: the exchange takes one Cholesky factorization of the p x p
+    information matrix per trial design (two for the start), plus O(n p) per
+    round for the sensitivities; the iterate's factor is carried, so an
+    accepted trial is never factorized again.  The simplex takes one p x p
+    inverse and O(n p) pricing per pivot, a few pivots on power bases.
     """
     problem = _CappedCProblem(vectors, c, cap)
+    if cap >= 1.0:
+        return _elfving_simplex(problem, cfg, callback)
     if problem.n * cap < 1.0 - 1e-12:
         raise InfeasibleDesignError(f"cap {cap} over {problem.n} candidate points cannot reach total weight 1")
+    if cap * problem.p > 1.0 + 1e-12:
+        raise ValidationError(f"cap {cap} lies between 1/p and 1 for p = {problem.p}; use cap 1 or a cap of at most 1/p")
 
     problem.start()
     w = problem.w
@@ -369,10 +343,74 @@ def optimize_capped_weights(
         for a, i in enumerate(interior):
             for j in interior[a + 1 :]:
                 step(problem.exchange, i, j, _TOL)
-        step(problem.finish)
         _, phi = problem.criterion_and_sensitivity(problem.L)
 
     return w, _certificate(w, phi, problem.cap, iteration)
+
+
+def _elfving_simplex(
+    problem: _CappedCProblem,
+    cfg: OptimizerConfig,
+    callback: Callable[[int, float, np.ndarray], None] | None,
+) -> tuple[np.ndarray, OptimalityCertificate]:
+    """Uncapped c-optimal weights |u| / sum |u| from min sum |u_j| s.t. sum u_j v_j = c (Elfving 1952).
+
+    Revised simplex over the signed columns +-v_j (Harman & Jurik 2008); a
+    basic column keeps its sign while its value is 0.  The dual y of B' y = 1
+    prices: the largest |v_j' y| enters, or the first above 1 (Bland) once
+    degenerate pivots revisit a basis.  At the optimum all |v_j' y| <= 1, and
+    phi_j = (v_j' y)^2 is the certificate's sensitivity.
+    """
+    V, c, n, p = problem.V, problem.c, problem.n, problem.p
+    # Start from round(linspace(0, n - 1, p)), signed by the solution there:
+    # on a power basis over distinct times a row-scaled Vandermonde matrix.
+    basis = np.array([round(i * (n - 1) / max(p - 1, 1)) for i in range(p)])
+    try:
+        u = np.linalg.solve(V[basis].T, c)
+    except np.linalg.LinAlgError:
+        problem.start()  # at cap 1, p linearly independent points
+        basis = np.flatnonzero(problem.w)
+        u = np.linalg.solve(V[basis].T, c)
+    sign = np.where(u < 0.0, -1.0, 1.0)
+    iteration, bland, total, seen = 0, False, math.nan, set()
+    while True:
+        B = V[basis].T * sign
+        B_inv = np.linalg.inv(B)
+        x = np.maximum(B_inv @ c, 0.0)
+        # Small values are degenerate zeros if the other columns give c to rounding.
+        small = x <= _TOL * x.sum()
+        if small.any():
+            rest = np.linalg.lstsq(B[:, ~small], c, rcond=None)[0]
+            if np.linalg.norm(B[:, ~small] @ rest - c) <= _LP_TOL * np.linalg.norm(c):
+                x[small], x[~small] = 0.0, rest
+        w = np.zeros(n)
+        w[basis] = x / x.sum()
+        total = x.sum() if iteration == 0 else total
+        if callback is not None:
+            callback(iteration, total * total, w.copy())
+        g = V @ B_inv.sum(axis=0)
+        g[basis] = sign  # exactly, as B' y = 1 says: rounding must not price them in
+        over = np.flatnonzero(np.abs(g) > 1.0 + _LP_TOL)
+        state = ((basis + 1) * sign).tobytes()
+        # A revisit under Bland's rule, which cannot cycle, is rounding: stop.
+        if over.size == 0 or iteration == cfg.max_iters or (bland and state in seen):
+            break
+        if state in seen:
+            bland, seen = True, set()
+        j = over[0] if bland else over[np.argmax(np.abs(g[over]))]
+        s = math.copysign(1.0, g[j])
+        d = B_inv @ (s * V[j])
+        rows = np.flatnonzero(d > _PIVOT_TOL * np.abs(d).max())
+        ratio = x[rows] / d[rows]
+        ties = rows[ratio == ratio.min()]
+        r = ties[np.argmin(basis[ties])]
+        decrease = ratio.min() * (abs(g[j]) - 1.0)
+        basis[r], sign[r], total = j, s, total - decrease
+        if decrease > _LP_TOL * total:
+            bland, seen = False, set()
+        seen.add(state)
+        iteration += 1
+    return w, _certificate(w, g * g, problem.cap, iteration)
 
 
 def _time_problem(model: DegradationModel, grid_points: np.ndarray, t_star: float) -> tuple[np.ndarray, np.ndarray]:

@@ -94,11 +94,16 @@ def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.nda
     is (min sum_j |u_j|)^2 subject to sum_j u_j v_j = c (Elfving 1952).
     Splitting u = u+ - u- with both parts non-negative makes this a linear
     program (Harman & Jurik 2008), solved here by HiGHS.  Returns the
-    criterion and u, whose nonzero entries mark an optimal support.
+    criterion and u, whose nonzero entries mark an optimal support.  HiGHS
+    runs at feasibility tolerances of 1e-10 instead of its default 1e-7: at
+    the default, a t* within 1e-8 of a grid point gave criteria 1e-7 off.
     """
     V = np.asarray(vectors, dtype=float)
     n = V.shape[0]
-    res = linprog(np.ones(2 * n), A_eq=np.hstack([V.T, -V.T]), b_eq=c, bounds=(0, None), method="highs")
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(
+        np.ones(2 * n), A_eq=np.hstack([V.T, -V.T]), b_eq=c, bounds=(0, None), method="highs", options=tight
+    )
     if not res.success:
         raise SingularDesignError(f"the Elfving program has no solution: {res.message}")
     return float(res.fun) ** 2, res.x[:n] - res.x[n:]

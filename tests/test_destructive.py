@@ -201,6 +201,17 @@ class TestElfvingTimeDesign:
         with pytest.raises(OutOfRegimeError):
             elfving_time_design(table1, 0.9)
 
+    @pytest.mark.parametrize("t_star", [0.5, 0.9])
+    def test_advised_path_certifies_inside_the_horizon(self, table1: DegradationModel, t_star: float) -> None:
+        # The error above sends the caller to the grid optimizer, which once
+        # spent its whole budget here and returned an uncertified design.
+        with pytest.raises(OutOfRegimeError, match="use numeric_destructive_time_design"):
+            elfving_time_design(table1, t_star)
+        tau, cert = numeric_destructive_time_design(table1, t_star)
+        assert cert.certified
+        # t* is a grid point: all mass on it, with criterion sigma^2(t*).
+        assert tau.points == (t_star,) and tau.weights == (1.0,)
+
     def test_t_star_one_degenerates_to_endpoint(self, table1: DegradationModel) -> None:
         # Exactly at the boundary all mass sits at t = 1.
         tau = elfving_time_design(table1, 1.0 + 1e-12)
@@ -375,14 +386,20 @@ class TestNumericDestructivePath:
             ("quadratic", 400, 2.0, 6.0271025525),
             ("quadratic", 400, 3.0, 48.712062714),
             ("cubic", 400, 1.05, None),
-            ("cubic", 400, 2.0, None),
             ("cubic", 200, 3.0, None),
+            *(
+                (basis, 400, t_star, None)
+                for basis in ("affine", "quadratic", "cubic")
+                for t_star in (0.3, 0.5, 0.9, 1.0, 2.0, 5.0, 8.0)
+                if (basis, t_star) != ("quadratic", 2.0)
+            ),
         ],
     )
     def test_matches_elfving_lp_on_higher_degree_bases(
-        self, basis: str, J: int, t_star: float, reference: float | None
+        self, table1: DegradationModel, basis: str, J: int, t_star: float, reference: float | None
     ) -> None:
-        model = quadratic_model() if basis == "quadratic" else cubic_model()
+        # t* <= 1 on the grid: the optimum is the one-point design at t*.
+        model = {"affine": table1, "quadratic": quadratic_model(), "cubic": cubic_model()}[basis]
         grid = GridSpec(J=J, k=1)
         pts, c = grid.points(), model.time_basis.evaluate(t_star)
         optimum, u = elfving_lp_oracle(weighted_f2(pts, model), c)
@@ -394,7 +411,8 @@ class TestNumericDestructivePath:
         assert tau.points == tuple(pts[np.abs(u) > 1e-12])
         V = weighted_f2(np.array(tau.points), model)
         M = (V * np.array(tau.weights)[:, None]).T @ V
-        assert float(c @ np.linalg.solve(M, c)) == pytest.approx(optimum, rel=1e-9)
+        # A pseudo-inverse scores the singular (one-point) optima too.
+        assert float(c @ np.linalg.pinv(M) @ c) == pytest.approx(optimum, rel=1e-9)
 
     def test_custom_grid_must_be_uncapped(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):

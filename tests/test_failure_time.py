@@ -21,12 +21,27 @@ from adtplan import (
     failure_cdf,
     h,
     median_failure_time,
+    mu_aggregate,
     quantile,
     sigma_u,
     sigma_u2,
 )
-from adtplan.failure_time import _H_TOL
-from conftest import T_MEDIAN, random_affine_model
+from adtplan.failure_time import _H_TOL, _margin_function
+from conftest import T_MEDIAN, cubic_model, quadratic_model, random_affine_model
+
+
+def _zero_start_variance_model() -> DegradationModel:
+    """Affine model with sigma_u(0) = 0 and the path below the threshold at t = 0."""
+    return DegradationModel.affine(
+        beta=(1.0, 1.0, 1.0, 1.0), sigma1=0.0, sigma2=0.1, rho=0.0, sigma_eps=0.05, x_u=-0.1, y0=3.0
+    )
+
+
+def _zero_start_margin_model() -> DegradationModel:
+    """Path starting exactly at the threshold with zero start variance."""
+    return DegradationModel.affine(
+        beta=(2.0, 1.0, 1.0, 0.0), sigma1=0.0, sigma2=0.1, rho=0.0, sigma_eps=0.05, x_u=-0.5, y0=1.5
+    )
 
 
 class TestPathVariance:
@@ -63,35 +78,43 @@ class TestMargin:
             assert failure_cdf(t, table1) == pytest.approx(float(ndtr(h(t, table1))))
 
     def test_degenerate_variance_raises(self) -> None:
-        model = DegradationModel.affine(
-            beta=(1.0, 1.0, 1.0, 1.0),
-            sigma1=0.0,
-            sigma2=0.1,
-            rho=0.0,
-            sigma_eps=0.05,
-            x_u=-0.1,
-            y0=3.0,
-        )
+        model = _zero_start_variance_model()
         with pytest.raises(DegenerateVarianceError):
             h(0.0, model)
         with pytest.raises(DegenerateVarianceError, match=r"sigma_u\(0\.0\)"):
             h(np.array([0.5, 0.0, 0.2]), model)
 
     def test_zero_over_zero_margin_raises(self) -> None:
-        # Path starts exactly at the threshold with zero start variance.
-        model = DegradationModel.affine(
-            beta=(2.0, 1.0, 1.0, 0.0),
-            sigma1=0.0,
-            sigma2=0.1,
-            rho=0.0,
-            sigma_eps=0.05,
-            x_u=-0.5,
-            y0=1.5,
-        )
+        model = _zero_start_margin_model()
         with pytest.raises(IndeterminateMarginError):
             h(0.0, model)
         with pytest.raises(IndeterminateMarginError, match=r"sigma_u\(0\.0\)"):
             h(np.array([0.5, 0.0]), model)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_margin_function_keeps_the_bits_of_the_formula(self, degree: int, table1: DegradationModel) -> None:
+        # The quantile bisection derives delta and Sigma_gamma once per call;
+        # every t_alpha keeps its bits only if each value equals the formula's.
+        model = {1: table1, 2: quadratic_model(), 3: cubic_model()}[degree]
+        ts = np.random.default_rng(degree).uniform(0.0, 8.0, size=1000).tolist() + [0.0, 0.5, 1.0]
+        margin_at = _margin_function(model)
+        formula = [(mu_aggregate(t, model) - model.y0) / sigma_u(t, model) for t in ts]
+        assert [margin_at(t) for t in ts] == formula
+        assert [h(t, model) for t in ts] == formula
+        assert h(np.array(ts), model).tolist() == formula
+
+    @pytest.mark.parametrize(
+        "model, error, message",
+        [
+            (_zero_start_variance_model(), DegenerateVarianceError, "sigma_u(0.0) = 0 while mu(0.0) != y0"),
+            (_zero_start_margin_model(), IndeterminateMarginError, "sigma_u(0.0) = 0 and mu(0.0) = y0: margin is 0/0"),
+        ],
+    )
+    def test_zero_variance_errors(self, model: DegradationModel, error: type[Exception], message: str) -> None:
+        for call in (lambda: h(0.0, model), lambda: h(np.array([0.5, 0.0]), model), lambda: _margin_function(model)(0.0)):
+            with pytest.raises(error) as raised:
+                call()
+            assert str(raised.value) == message
 
 
 class TestMedian:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adtplan import (
@@ -28,12 +28,24 @@ from adtplan import (
 )
 from adtplan.timeplan import design_sensitivity
 from conftest import T_MEDIAN, cubic_model, quadratic_model
-from oracles import two_point_extrapolation_design
+from oracles import elfving_lp_oracle, two_point_extrapolation_design
 
 TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
     weights=(1 / 6,) * 6,
 )
+
+
+def _criterion(vectors: np.ndarray, c: np.ndarray, w: np.ndarray) -> float:
+    """c' M(w)^+ c, the criterion of a singular design too when c lies in the range of M.
+
+    With A = diag(sqrt(w)) V, M = A'A and c' M^+ c = |(A')^+ c|^2: a
+    pseudo-inverse of the square-root factor keeps twice the digits of one
+    of M when a weight is tiny.
+    """
+    A = vectors * np.sqrt(w)[:, None]
+    z = np.linalg.lstsq(A.T, c, rcond=None)[0]
+    return float(z @ z)
 
 
 class TestGridSpec:
@@ -67,7 +79,9 @@ class TestGridSpec:
 # Engine outputs pinned bit for bit: (basis, J, k, t*, iterations,
 # max_violation, support as grid indices, unsaturated weights by grid index
 # (every other support point carries the cap 1/k), Cholesky factorizations).
-# k = 1 plans are the destructive designs on the weighted basis f2(t)/sigma(t).
+# k = 1 plans are the destructive designs on the weighted basis f2(t)/sigma(t),
+# solved by Elfving's simplex: iterations count its pivots, and it factorizes
+# no information matrix.
 _PINNED_PLANS = [
     (
         "affine", 100, 3, 1.1, 6, 7.882583474838611e-15,
@@ -93,22 +107,22 @@ _PINNED_PLANS = [
         79,
     ),
     (
-        "affine", 400, 1, T_MEDIAN, 1, 2.3314683517128287e-15,
+        "affine", 400, 1, T_MEDIAN, 0, 0.0,
         (0, 400),
-        {0: 0.23154533563279833, 400: 0.7684546643672017},
-        4,
+        {0: 0.23154533563279855, 400: 0.7684546643672014},
+        0,
     ),
     (
-        "quadratic", 100, 1, 1.0458251905777058, 14, 5.3512749786932545e-14,
+        "quadratic", 100, 1, 1.0458251905777058, 1, 0.0,
         (0, 46, 100),
-        {0: 0.03200539626239902, 46: 0.11394903897055306, 100: 0.8540455647670478},
-        16,
+        {0: 0.03200539626239919, 46: 0.1139490389705531, 100: 0.8540455647670477},
+        0,
     ),
     (
-        "cubic", 400, 1, 1.05, 32, 1.7038592758922277e-12,
+        "cubic", 400, 1, 1.05, 2, 0.0,
         (0, 93, 287, 400),
-        {0: 0.029272075468830927, 93: 0.07406678101860133, 287: 0.19211277488099027, 400: 0.7045483686315775},
-        34,
+        {0: 0.029272075468831302, 93: 0.0740667810186036, 287: 0.19211277488099113, 400: 0.704548368631574},
+        0,
     ),
 ]
 
@@ -119,14 +133,16 @@ class TestExchangeEngine:
         J=st.integers(8, 120),
         k_slot=st.floats(0.0, 1.0),
         capped=st.booleans(),
-        # Extrapolation only: for t* <= 1 the optimum can be a singular design,
-        # which the iterates approach through ill-conditioned matrices.
-        t_star=st.floats(1.05, 6.0),
+        t_star=st.floats(0.3, 6.0),
     )
     @settings(max_examples=100, deadline=None)
     def test_iterates_feasible_and_monotone(
         self, degree: int, J: int, k_slot: float, capped: bool, t_star: float
     ) -> None:
+        # Capped plans in extrapolation only: for t* <= 1 their optimum can be
+        # nearly singular, which the exchange steps approach through
+        # ill-conditioned matrices.  Uncapped plans solve as a linear program.
+        assume(not capped or t_star >= 1.05)
         basis = PowerBasis(degree)
         vectors = basis.evaluate_many(np.arange(J + 1) / J) / 0.048
         c = basis.evaluate(t_star)
@@ -144,9 +160,48 @@ class TestExchangeEngine:
         assert len(values) == cert.iterations + 1
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-13 * np.abs(values[:-1]))
-        # The reported path ends at the criterion of the returned weights.
-        M = (vectors * w[:, None]).T @ vectors
-        assert values[-1] == pytest.approx(float(c @ np.linalg.solve(M, c)), rel=1e-9)
+        # The reported path ends at the criterion of the returned weights; a
+        # pseudo-inverse scores a singular (one-point) optimum too.
+        assert values[-1] == pytest.approx(_criterion(vectors, c, w), rel=1e-9)
+
+    @given(
+        degree=st.integers(1, 3),
+        J=st.integers(8, 400),
+        log_t_star=st.floats(math.log(0.3), math.log(8.0)),
+        tilt=st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cap1_matches_elfving_lp(self, degree: int, J: int, log_t_star: float, tilt: float) -> None:
+        # Uncapped designs on f2(t)/sigma(t), sigma(t) growing linearly with
+        # the tilt, against the Elfving linear program solved by HiGHS.
+        basis, t = PowerBasis(degree), np.arange(J + 1) / J
+        vectors = basis.evaluate_many(t) / (0.048 * (1.0 + tilt * t))[:, None]
+        c = basis.evaluate(math.exp(log_t_star))
+        values: list[float] = []
+
+        def watch(it: int, value: float, w: np.ndarray) -> None:
+            assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(w >= 0.0) and np.all(w <= 1.0)
+            values.append(value)
+
+        w, cert = optimize_capped_weights(vectors, c, 1.0, callback=watch)
+        assert cert.certified
+        assert np.all(np.diff(values) <= 0.0)
+        optimum, _ = elfving_lp_oracle(vectors, c)
+        assert values[-1] == pytest.approx(optimum, rel=1e-9)
+        assert _criterion(vectors, c, w) == pytest.approx(optimum, rel=1e-9)
+
+    def test_one_point_cap1_optimum_has_unit_weight(self, table1: DegradationModel) -> None:
+        # At t* = 1 all mass sits on t = 1; the engine once left 0.9999999999999999.
+        design, cert = optimize_time_plan(GridSpec(J=20, k=1), table1, 1.0)
+        assert cert.certified
+        assert design.points == (1.0,)
+        assert design.weights == (1.0,)
+
+    def test_caps_between_one_over_p_and_one_rejected(self) -> None:
+        vectors = PowerBasis(2).evaluate_many(np.arange(11) / 10)
+        with pytest.raises(ValidationError, match="between 1/p and 1"):
+            optimize_capped_weights(vectors, PowerBasis(2).evaluate(2.0), 0.5)
 
     @pytest.mark.parametrize("J, k, t_star", [(100, 3, 1.1), (400, 10, 5.0), (1000, 10, 1.1)])
     def test_affine_plans_certify(self, table1: DegradationModel, J: int, k: int, t_star: float) -> None:
@@ -174,8 +229,8 @@ class TestExchangeEngine:
         assert phi == pytest.approx(1.0, abs=1e-7)
 
     def test_cubic_cap1_design_is_exact(self) -> None:
-        # Three free weights on a four-point support: the closed-form finish
-        # takes the certificate far below the pair steps' 1e-7 stopping gap.
+        # Four weights |u_j| / sum |u| from the simplex's optimal basis: the
+        # certificate lies far below the 1e-7 stopping gap of pair steps.
         tau, cert = numeric_destructive_time_design(cubic_model(), 1.05, GridSpec(J=400, k=1))
         assert cert.certified
         assert len(tau.points) == 4
@@ -227,9 +282,12 @@ class TestExchangeEngine:
         assert design.weights == tuple(free.get(j, grid.cap) for j in support)
         assert cert.iterations == iterations
         assert cert.max_violation == max_violation
+        if k == 1:
+            # Step-creeping toward the optimum took 14 and 32 exchange steps
+            # on the higher-degree rows; the simplex needs a few pivots.
+            assert cert.iterations <= 2 * model.p2
         # Two factors for the start (uniform design, start design), then one
-        # per accepted step, which the next step reuses; a trial the finish
-        # rejects costs one more, as on the affine k = 1 plan.
+        # per accepted step, which the next step reuses.
         assert len(factored) == factorizations
         assert len(set(factored)) == len(factored)
 
