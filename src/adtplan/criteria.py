@@ -82,14 +82,15 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, var: str) -> np.ndarray:
     checked explicitly; 1e-10 relative sits orders of magnitude above rounding
     and below any design that genuinely spans the basis.
     """
-    eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    sym = 0.5 * (mat + mat.T)
+    eigvals = np.linalg.eigvalsh(sym)
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 0.0):
         names = _basis_names(mat.shape[0], var)
         raise SingularDesignError(
             "information matrix is singular; design does not identify the "
             f"direction {_deficient_direction(mat, names)}"
         )
-    L = np.linalg.cholesky(0.5 * (mat + mat.T))
+    L = np.linalg.cholesky(sym)
     return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 

@@ -229,15 +229,16 @@ class ApproximateDesign:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(float(t) for t in self.points)
-        wts = tuple(float(w) for w in self.weights)
+        pts = tuple(map(float, self.points))
+        wts = tuple(map(float, self.weights))
         if len(pts) != len(wts) or len(pts) == 0:
             raise ValidationError("points and weights must be same nonzero length")
-        if any(not (0.0 <= t <= 1.0) for t in pts):
+        # Element-wise tests as comparison methods mapped over the tuples, at C speed.
+        if not (all(map((0.0).__le__, pts)) and all(map((1.0).__ge__, pts))):
             raise ValidationError(f"design points must lie in [0,1], got {pts}")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if any(map(float.__le__, pts[1:], pts)):
             raise ValidationError("design points must be strictly increasing")
-        if any(w < 0.0 for w in wts):
+        if any(map((0.0).__gt__, wts)):
             raise ValidationError(f"weights must be non-negative, got {wts}")
         total = math.fsum(wts)
         if abs(total - 1.0) > 1e-12:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -225,7 +226,9 @@ def _result(
     """Rows with pi* at every abscissa (of t* at the base ratio, or of the ratio at t*) and the nominal markers."""
     a = spec.abscissae()
     pi = pi_star_from_ratio(a, ratio) if spec.variable == "t_median" else pi_star_from_ratio(t_star, a)
-    rows = map(SweepRow, a.tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
+    # tuple.__new__ over whole rows builds each SweepRow in C.
+    columns = zip(a.tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
+    rows = map(partial(tuple.__new__, SweepRow), columns)
     return SweepResult(spec=spec, rows=tuple(rows), nominal_t_median=t_median, nominal_ratio=ratio)
 
 

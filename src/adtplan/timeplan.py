@@ -10,21 +10,22 @@ the optimizer reads only the time basis, the error standard deviation, the
 grid, and the extrapolation time.
 
 Caps of at most 1/p (k >= p measurements per unit): pair exchange with an
-exact step (REX; Harman, Filova & Richtarik 2020).  Weight moves from the
-supported point of lowest sensitivity phi to the unsaturated point of
-highest phi, then between interior points, each time by the exact line
-minimum.  Cap 1 (k = 1): Elfving's linear program by a p-row simplex, whose
-optimum may be singular.  Every result carries a first-order (KKT)
-certificate from the bounded-design equivalence theorem (Sahm & Schwabe
-2001): phi must be largest on saturated points, constant on interior
-points, and smallest on zero-weight points.
+exact step (REX; Harman, Filova & Richtarik 2020), started from the cap-1
+optimum spread to the cap.  Weight moves from the supported point of lowest
+sensitivity phi to the unsaturated point of highest phi, then between
+interior points, each time by the exact line minimum; each step factorizes
+the p x p information summed over the current support only.  Cap 1 (k = 1):
+Elfving's linear program by a p-row simplex, whose optimum may be singular.
+Every result carries a first-order (KKT) certificate from the bounded-design
+equivalence theorem (Sahm & Schwabe 2001): phi must be largest on saturated
+points, constant on interior points, and smallest on zero-weight points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +52,12 @@ _START_INDEPENDENCE = 0.1
 # violation a certified design may show, the engine's stopping gap in phi, and
 # how close a weight must be to 0 or to the cap to count as zero or saturated.
 _TOL = 1e-7
+
+# Spread start: when the diagonal of its factor spans more than this ratio
+# (the pivots of M its square), the criterion the exchange reports along its
+# path loses digits (up to 7e-6 relative on cubic plans at t* <= 1), and the
+# share _SPREAD_BLEND of the weight moves to equally spaced points.
+_SPREAD_DIAGONAL_RATIO, _SPREAD_BLEND = 100.0, 1e-2
 
 # Elfving's simplex: a relative change below _LP_TOL counts as none (in a
 # price against 1, the objective, or c); pivots need d_i > _PIVOT_TOL max|d|.
@@ -136,10 +143,16 @@ def _first_positive_root(a: float, b: float, c: float) -> float:
 class _CappedCProblem:
     """Minimize c' M(w)^-1 c, M(w) = sum_j w_j v_j v_j', over the capped simplex.
 
-    The iterate w and the lower Cholesky factor L of M(w) travel together:
-    start() sets both, and a move that accepts a trial design keeps the
-    factor it took of that trial, so each design is factorized once.
+    The iterate w, its ascending support S and the lower Cholesky factor L
+    of M(w) travel together: spread() or start() sets them, and a move that
+    accepts a trial design keeps the factor it took of that trial, so each
+    design is factorized once.  M is summed over V[S], so a step costs
+    O(|S| p^2), not a scan of the grid.
     """
+
+    # Rows [V; c]: the exchange's right-hand sides [v_i, v_j, c] in one gather.
+    # Built by spread(), on the capped path only.
+    stack: np.ndarray
 
     def __init__(self, vectors: np.ndarray, c: np.ndarray, cap: float):
         self.V = np.asarray(vectors, dtype=float)
@@ -149,12 +162,13 @@ class _CappedCProblem:
         self.n, self.p = self.V.shape
         self.cap = float(cap)
         self.w = np.zeros(self.n)
+        self.S = np.zeros(0, dtype=np.intp)
         self.L: np.ndarray | None = None
 
-    def cholesky(self, w: np.ndarray) -> np.ndarray | None:
-        """Lower Cholesky factor of M(w); None when M(w) is singular."""
-        V, ws = self.V[w > 0.0], w[w > 0.0]
-        M = (V * ws[:, None]).T @ V
+    def cholesky(self, w: np.ndarray, support: np.ndarray) -> np.ndarray | None:
+        """Lower Cholesky factor of M(w), summed over the ascending support of w; None when singular."""
+        V = self.V[support]
+        M = (V * w[support][:, None]).T @ V
         try:
             return np.linalg.cholesky(0.5 * (M + M.T))
         except np.linalg.LinAlgError:
@@ -192,7 +206,7 @@ class _CappedCProblem:
         a singular design.
         """
         w = self.w
-        Y = np.linalg.solve(self.L, np.column_stack([self.V[i], self.V[j], self.c]))
+        Y = np.linalg.solve(self.L, self.stack[[i, j, -1]].T)
         K = Y.T @ Y
         r, d, (a, b, dd, gr, gd) = i, j, (K[0, 0], K[0, 1], K[1, 1], K[0, 2], K[1, 2])
         if gr * gr < gd * gd:
@@ -209,22 +223,85 @@ class _CappedCProblem:
         decrease = step * (n0 + n1 * step) / (d2 * step * step + d1 * step - 1.0)
         if not decrease > 0.0:
             return None
-        trial = w.copy()
-        trial[r] = self.cap if step == self.cap - w[r] else w[r] + step
-        trial[d] = 0.0 if empties else w[d] - step
-        L = self.cholesky(trial)
+        old = w[r], w[d]
+        w[r] = self.cap if step == self.cap - w[r] else w[r] + step
+        w[d] = 0.0 if empties else w[d] - step
+        S = self.S
+        if old[0] == 0.0:
+            S = np.insert(S, np.searchsorted(S, r), r)
+        if empties:
+            S = S[S != d]
+        L = self.cholesky(w, S)
         if L is None:
+            w[r], w[d] = old
             return None
-        self.w[:], self.L = trial, L
+        self.S, self.L = S, L
         return decrease
 
+    def spread(self) -> None:
+        """Start design: Elfving's cap-1 optimum spread to the cap.
+
+        Each support point s of the cap-1 weights u takes a block of the
+        points nearest it (s, s - 1, s + 1, s - 2, ...): floor(u_s / cap) of
+        them at the cap and the remainder on the next free point, so the
+        weights sum to sum u = 1.  On tight grids, where the blocks overlap,
+        a remainder that finds no free point goes to the nearest points with
+        room.  A spread whose factor is singular or ill-conditioned (a cluster
+        around a nearly one-point optimum, as for t* <= 1 near a grid point)
+        moves the share _SPREAD_BLEND of its weight to m equally spaced
+        points; start() is the fallback if that too is singular.
+        """
+        n, cap = self.n, self.cap
+        self.stack = np.vstack([self.V, self.c])
+        u, _, _ = _elfving_pivots(_CappedCProblem(self.V, self.c, 1.0), OptimizerConfig().max_iters, None)
+        weight: dict[int, float] = {}
+        for s, us in zip(np.flatnonzero(u).tolist(), u[u > 0.0].tolist()):
+            full = math.floor(us / cap)
+            frac = us - full * cap
+            parts = [cap] * full + [min(frac, cap)] * (frac > 0.0)
+            placed = 0
+            for part, j in zip(parts, (j for j in _nearest(s, n) if j not in weight)):
+                weight[j], placed = part, placed + 1
+            rest = math.fsum(parts[placed:])
+            for j in _nearest(s, n) if rest > 0.0 else ():
+                room = cap - weight[j]
+                weight[j] = min(weight[j] + rest, cap)
+                rest -= room
+                if rest <= 0.0:
+                    break
+        w = self.w
+        w[:] = 0.0
+        w[list(weight)] = list(weight.values())
+        self.S = np.flatnonzero(w > 0.0)
+        self.L = self.cholesky(w, self.S)
+        if self.L is not None:
+            diagonal = self.L.diagonal().tolist()
+            if max(diagonal) <= _SPREAD_DIAGONAL_RATIO * min(diagonal):
+                return
+        m = self._start_size()
+        w *= 1.0 - _SPREAD_BLEND
+        w[np.round(np.linspace(0, n - 1, m)).astype(np.intp)] += _SPREAD_BLEND / m
+        np.minimum(w, cap, out=w)
+        self.S = np.flatnonzero(w > 0.0)
+        self.L = self.cholesky(w, self.S)
+        if self.L is None:
+            self.start()
+
+    def _start_size(self) -> int:
+        """Points of a start design at equal weight: max(p, ceil(1/cap)), k for cap 1/k."""
+        # ceil(1/cap) with 1/cap's rounding absorbed.
+        return min(self.n, max(self.p, math.ceil(1.0 / self.cap - 1e-9)))
+
     def start(self) -> None:
-        """Start design: m = max(p, ceil(1/cap)) points at weight 1/m.
+        """Fallback start design: m = max(p, ceil(1/cap)) points at weight 1/m.
 
         The first p are linearly independent points taken in descending order
         of phi at the uniform design, the rest the next highest-phi points.
+        Used only where the spaced basis of Elfving's simplex, or the spread
+        start after its blend, is singular, which on a power basis over
+        distinct times neither is.
         """
-        _, phi = self.criterion_and_sensitivity(self.cholesky(np.full(self.n, 1.0 / self.n)))
+        _, phi = self.criterion_and_sensitivity(self.cholesky(np.full(self.n, 1.0 / self.n), np.arange(self.n)))
         if phi is None:
             raise InfeasibleDesignError("the candidate set does not span the target direction: singular uniform design")
         order = np.argsort(-phi, kind="stable")
@@ -240,13 +317,24 @@ class _CappedCProblem:
             j = int(ok[0]) if ok.size else int(np.argmax(lengths))
             chosen.append(j)
             basis = np.vstack([basis, resid[j] / lengths[j]])
-        # ceil(1/cap) with 1/cap's rounding absorbed: k points for cap 1/k.
-        m = min(self.n, max(self.p, math.ceil(1.0 / self.cap - 1e-9)))
+        m = self._start_size()
         chosen += order[~np.isin(order, chosen)][: m - len(chosen)].tolist()
+        self.w[:] = 0.0
         self.w[chosen] = 1.0 / m
-        self.L = self.cholesky(self.w)
+        self.S = np.flatnonzero(self.w > 0.0)
+        self.L = self.cholesky(self.w, self.S)
         if self.L is None:
             raise InfeasibleDesignError("the candidate vectors are too close to collinear for a nonsingular start")
+
+
+def _nearest(s: int, n: int) -> Iterator[int]:
+    """Indices 0..n-1 by distance from s, the lower first on ties: s, s - 1, s + 1, s - 2, ..."""
+    yield s
+    for d in range(1, n):
+        if s - d >= 0:
+            yield s - d
+        if s + d < n:
+            yield s + d
 
 
 def _classify(w: np.ndarray, cap: float, weight_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,15 +383,21 @@ def optimize_capped_weights(
     weights)`` is invoked at the start and after every step or pivot, which
     test suites use to watch feasibility and monotonicity; the criterion
     passed is the start value less the exact decrease of each step.  The
-    exchange stops when phi on the unsaturated points exceeds phi on the
-    supported points by at most the certificate's tolerance, the simplex at
-    its optimum, and both after cfg.max_iters steps.
+    exchange starts from Elfving's cap-1 optimum spread to the cap (see
+    _CappedCProblem.spread), which leaves affine plans a few steps from
+    their optimum.  It stops when phi on the unsaturated points exceeds phi
+    on the supported points by at most the certificate's tolerance, the
+    simplex at its optimum, and both after cfg.max_iters steps (the start's
+    simplex pivots do not count).  Where the optimum is not unique, the
+    exchange returns the first certified design it reaches from that start.
 
-    Cost: the exchange takes one Cholesky factorization of the p x p
-    information matrix per trial design (two for the start), plus O(n p) per
-    round for the sensitivities; the iterate's factor is carried, so an
-    accepted trial is never factorized again.  The simplex takes one p x p
-    inverse and O(n p) pricing per pivot, a few pivots on power bases.
+    Cost: the start takes the simplex's pivots and one Cholesky
+    factorization; each exchange step takes one factorization of the p x p
+    information matrix, summed over the support S, per trial design, plus
+    O(n p) per round for the sensitivities.  The iterate's factor is
+    carried, so an accepted trial is never factorized again.  The simplex
+    takes one p x p inverse and O(n p) pricing per pivot, a few pivots on
+    power bases.
     """
     problem = _CappedCProblem(vectors, c, cap)
     if cap >= 1.0:
@@ -313,7 +407,7 @@ def optimize_capped_weights(
     if cap * problem.p > 1.0 + 1e-12:
         raise ValidationError(f"cap {cap} lies between 1/p and 1 for p = {problem.p}; use cap 1 or a cap of at most 1/p")
 
-    problem.start()
+    problem.spread()
     w = problem.w
     crit, phi = problem.criterion_and_sensitivity(problem.L)
     iteration = 0
@@ -332,14 +426,14 @@ def optimize_capped_weights(
     if callback is not None:
         callback(0, crit, w.copy())
     while iteration < cfg.max_iters:
-        positive, open_ = np.flatnonzero(w > 0.0), np.flatnonzero(w < problem.cap)
-        if open_.size == 0:
+        S = problem.S
+        d = S[np.argmin(phi[S])]
+        open_phi = np.where(w < problem.cap, phi, -np.inf)
+        r = int(np.argmax(open_phi))
+        if open_phi[r] - phi[d] <= _TOL or not step(problem.exchange, r, d):
             break
-        d = positive[np.argmin(phi[positive])]
-        r = open_[np.argmax(phi[open_])]
-        if phi[r] - phi[d] <= _TOL or not step(problem.exchange, r, d):
-            break
-        interior = np.flatnonzero((w > 0.0) & (w < problem.cap)).tolist()
+        S = problem.S
+        interior = S[w[S] < problem.cap].tolist()
         for a, i in enumerate(interior):
             for j in interior[a + 1 :]:
                 step(problem.exchange, i, j, _TOL)
@@ -353,13 +447,23 @@ def _elfving_simplex(
     cfg: OptimizerConfig,
     callback: Callable[[int, float, np.ndarray], None] | None,
 ) -> tuple[np.ndarray, OptimalityCertificate]:
+    """Cap-1 weights and their certificate, phi_j = (v_j' y)^2 from the simplex's dual."""
+    w, g, pivots = _elfving_pivots(problem, cfg.max_iters, callback)
+    return w, _certificate(w, g * g, problem.cap, pivots)
+
+
+def _elfving_pivots(
+    problem: _CappedCProblem,
+    max_pivots: int,
+    callback: Callable[[int, float, np.ndarray], None] | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Uncapped c-optimal weights |u| / sum |u| from min sum |u_j| s.t. sum u_j v_j = c (Elfving 1952).
 
     Revised simplex over the signed columns +-v_j (Harman & Jurik 2008); a
     basic column keeps its sign while its value is 0.  The dual y of B' y = 1
     prices: the largest |v_j' y| enters, or the first above 1 (Bland) once
-    degenerate pivots revisit a basis.  At the optimum all |v_j' y| <= 1, and
-    phi_j = (v_j' y)^2 is the certificate's sensitivity.
+    degenerate pivots revisit a basis.  At the optimum all |v_j' y| <= 1.
+    Returns the weights, the prices g = V y and the number of pivots.
     """
     V, c, n, p = problem.V, problem.c, problem.n, problem.p
     # Start from round(linspace(0, n - 1, p)), signed by the solution there:
@@ -393,7 +497,7 @@ def _elfving_simplex(
         over = np.flatnonzero(np.abs(g) > 1.0 + _LP_TOL)
         state = ((basis + 1) * sign).tobytes()
         # A revisit under Bland's rule, which cannot cycle, is rounding: stop.
-        if over.size == 0 or iteration == cfg.max_iters or (bland and state in seen):
+        if over.size == 0 or iteration == max_pivots or (bland and state in seen):
             break
         if state in seen:
             bland, seen = True, set()
@@ -410,7 +514,7 @@ def _elfving_simplex(
             bland, seen = False, set()
         seen.add(state)
         iteration += 1
-    return w, _certificate(w, g * g, problem.cap, iteration)
+    return w, g, iteration
 
 
 def _time_problem(model: DegradationModel, grid_points: np.ndarray, t_star: float) -> tuple[np.ndarray, np.ndarray]:
@@ -465,7 +569,7 @@ def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) ->
         if free.size:
             w[free[np.argmin(np.abs(free - j))]] += w[j]
         w[j] = 0.0
-    return ApproximateDesign(points=tuple(points[w > 0.0]), weights=tuple(w[w > 0.0]))
+    return ApproximateDesign(points=tuple(points[w > 0.0].tolist()), weights=tuple(w[w > 0.0].tolist()))
 
 
 def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -474,8 +578,8 @@ def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) 
     M = sum_j w_j v_j v_j' is the information of the weights; phi is the
     quantity the engine's certificate orders, and sum_j w_j phi_j = 1.
     """
-    problem = _CappedCProblem(vectors, c, 1.0)
-    _, phi = problem.criterion_and_sensitivity(problem.cholesky(np.asarray(weights, dtype=float)))
+    problem, w = _CappedCProblem(vectors, c, 1.0), np.asarray(weights, dtype=float)
+    _, phi = problem.criterion_and_sensitivity(problem.cholesky(w, np.flatnonzero(w > 0.0)))
     if phi is None:
         raise InfeasibleDesignError("design information is singular for the target direction")
     return phi
@@ -570,12 +674,13 @@ def round_to_exact(
         ranked = sorted(candidates.tolist(), key=lambda i: (-phi[i], ts[i]))
         choices = [tuple(sorted(ranked[:n_slots]))]
 
-    def score(choice: tuple[int, ...]) -> tuple[float, int, tuple[float, ...]]:
-        cand = exact_design(choice)
-        crit = c_criterion_time(cand, model, t_star).criterion_total
-        input_support = {float(t) for t, w in zip(ts, ws) if w > sat_tol}
-        sym_diff = len(input_support.symmetric_difference(cand.points))
-        return (crit, sym_diff, cand.points)
+    designs = [exact_design(choice) for choice in choices]
+    if len(designs) == 1:
+        return designs[0]
+    input_support = {float(t) for t, w in zip(ts, ws) if w > sat_tol}
 
-    best_choice = min(choices, key=score)
-    return exact_design(best_choice)
+    def score(cand: ApproximateDesign) -> tuple[float, int, tuple[float, ...]]:
+        crit = c_criterion_time(cand, model, t_star).criterion_total
+        return (crit, len(input_support.symmetric_difference(cand.points)), cand.points)
+
+    return min(designs, key=score)

@@ -95,9 +95,9 @@ class TestOptimizeTime:
     def test_budget_exhaustion_exits_three(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:
-        # The plan on this grid needs five exchange steps.
+        # The plan on this grid needs seven exchange steps from its start.
         scn = tmp_path / "fine.scenario"
-        scn.write_text(MODEL_ONLY + "grid:\n  J: 400\n  k: 20\n")
+        scn.write_text(MODEL_ONLY + "grid:\n  J: 40\n  k: 30\n")
         code = main(
             ["optimize-time", "--scenario", str(scn), "--max-iters", "1"]
         )
