@@ -38,7 +38,7 @@ from .destructive import (
     product_design,
     weighted_f2,
 )
-from .errors import AdtPlanError, ScenarioValidationError, ValidationError
+from .errors import AdtPlanError, ScenarioValidationError, SingularDesignError, ValidationError
 from .failure_time import median_failure_time, quantile
 from .model import ApproximateDesign, DegradationModel, eval_delta
 from .scenario import Scenario, load_scenario
@@ -206,7 +206,11 @@ def cmd_optimize_time(args: argparse.Namespace, scenario: Scenario) -> int:
     _emit("criterion_random", report.criterion_random)
     xi = elfving_stress_design(model)
     _emit("stress_factor", stress_extrapolation_factor(xi, model))
-    _emit("avar_median", avar_median(xi, design, model))
+    try:
+        avar = avar_median(xi, design, model)
+    except SingularDesignError:  # a support narrower than the basis may identify f2 at t* but not at the median
+        avar = math.inf
+    _emit("avar_median", avar)
     _emit("certified", cert.certified)
     _emit("kkt_violation", cert.max_violation)
     _emit("iterations", cert.iterations)

@@ -19,6 +19,13 @@ k-scaled total-information variant for exact k-point plans is available as
 a separate accessor.  Criterion values are reported up to the positive
 constant c0^2 that multiplies the whole variance; it cancels in every
 efficiency and argmin.
+
+One kernel, _christoffel, evaluates both time criteria f2(t*)' M^- f2(t*),
+M = sum_j q_j f2(t_j) f2(t_j)', with q = w/sigma_eps^2 here and w/sigma^2(t)
+for destructive designs.  M is singular exactly when fewer than dim of the
+strictly increasing points carry weight; the error names the node polynomial
+prod (u - u_j), which lies in M's null space.  f2(t*) stays estimable when t*
+is a support point: a one-point design at t* scores sigma_eps^2 / w.
 """
 
 from __future__ import annotations
@@ -57,41 +64,43 @@ class CriterionReport:
     t_star: float
 
 
-def _deficient_direction(mat: np.ndarray, names: list[str]) -> str:
-    """Human-readable description of the near-null direction of a singular matrix."""
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    v = eigvecs[:, int(np.argmin(eigvals))]
-    # Flip sign so the leading nonzero coefficient is positive.
-    lead = next((c for c in v if abs(c) > 1e-12), 1.0)
-    if lead < 0:
-        v = -v
-    terms = [f"{c:+.3g}*{n}" for c, n in zip(v, names) if abs(c) > 1e-9]
-    return " ".join(terms) if terms else "(numerically zero matrix)"
+def _require_rank(support: np.ndarray, dim: int, var: str) -> None:
+    """The count rule: raise unless the positive-weight points span a power basis of size dim."""
+    if support.size < dim:
+        node = "".join(f"({var} - {u:.6g})" for u in support)
+        raise SingularDesignError(f"information matrix is singular; design does not identify the direction {node}")
 
 
-def _basis_names(dim: int, var: str) -> list[str]:
-    return ["1"] + [var if j == 1 else f"{var}^{j}" for j in range(1, dim)]
+def _christoffel(points: np.ndarray, q: np.ndarray, target: float, dim: int) -> float:
+    """f(target)' M^- f(target), M = sum_j q_j f(u_j) f(u_j)', f the power basis of size dim.
 
-
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray, var: str) -> np.ndarray:
-    """Solve mat @ x = rhs for symmetric positive definite mat.
-
-    No pseudo-inverse fallback: a singular design is a modeling error and is
-    reported as such, naming the deficient basis direction.  A rank-deficient
-    moment matrix can slip past Cholesky on rounding noise, so conditioning is
-    checked explicitly; 1e-10 relative sits orders of magnitude above rounding
-    and below any design that genuinely spans the basis.
+    Sums pi_k(target)^2 / sum_j q_j pi_k(u_j)^2 over the monic polynomials pi_k
+    orthogonal under q (Stieltjes' recurrence) that the support spans: positive
+    terms, free of the digits a solve with M loses to its condition number.
     """
-    sym = 0.5 * (mat + mat.T)
-    eigvals = np.linalg.eigvalsh(sym)
-    if eigvals[0] <= 1e-10 * max(eigvals[-1], 0.0):
-        names = _basis_names(mat.shape[0], var)
-        raise SingularDesignError(
-            "information matrix is singular; design does not identify the "
-            f"direction {_deficient_direction(mat, names)}"
-        )
-    L = np.linalg.cholesky(sym)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    support = points[q > 0.0]
+    if target not in support:
+        _require_rank(support, dim, "t")
+    # poly, poly_star: pi_k at the u_j and at target; *_prev: pi_{k-1}.
+    total, poly, poly_prev, poly_star, star_prev, norm_prev = 0.0, np.ones_like(points), 0.0, 1.0, 0.0, 1.0
+    for _ in range(min(dim, support.size)):
+        norm = float(q @ (poly * poly))
+        total += poly_star * poly_star / norm
+        a, b = float(q @ (points * poly * poly)) / norm, norm / norm_prev
+        poly, poly_prev = (points - a) * poly - b * poly_prev, poly
+        poly_star, star_prev = (target - a) * poly_star - b * star_prev, poly_star
+        norm_prev = norm
+    return total
+
+
+def _cholesky_form(mat: np.ndarray, rhs: np.ndarray, support: np.ndarray, var: str) -> float:
+    """rhs' mat^-1 rhs for the information mat of a design on support, by the count rule and Cholesky."""
+    _require_rank(support, mat.shape[0], var)
+    try:
+        L = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("information matrix is numerically singular") from None
+    return float(rhs @ np.linalg.solve(L.T, np.linalg.solve(L, rhs)))
 
 
 def info_time_fixed(design: ApproximateDesign, model: DegradationModel) -> np.ndarray:
@@ -127,9 +136,11 @@ def c_criterion_time(design: ApproximateDesign, model: DegradationModel, t_star:
     """Marginal c-criterion f2(t*)' M2^-1 f2(t*) of a time plan, split into parts."""
     if not (t_star > 0.0):
         raise ValidationError(f"t_star must be positive, got {t_star}")
-    M2_0 = info_time_fixed(design, model)
-    f2 = model.time_basis.evaluate(t_star)
-    fixed = float(f2 @ _spd_solve(M2_0, f2, "t"))
+    ts, ws = design.as_arrays()
+    if model.error_spec.is_homoscedastic:
+        fixed = _christoffel(ts, ws / model.sigma_eps**2, float(t_star), model.p2)
+    else:  # info_time_fixed checks the equal weights 1/k, so every point counts
+        fixed = _cholesky_form(info_time_fixed(design, model), model.time_basis.evaluate(t_star), ts, "t")
     random = sigma_u2(t_star, model)
     return CriterionReport(
         criterion_total=fixed + random,
@@ -149,9 +160,8 @@ def info_stress(design: ApproximateDesign, model: DegradationModel) -> np.ndarra
 
 def stress_extrapolation_factor(xi: ApproximateDesign, model: DegradationModel) -> float:
     """f1(x_u)' M1(xi)^-1 f1(x_u), the stress part of the product variance."""
-    M1 = info_stress(xi, model)
-    f1u = model.stress_basis.evaluate(model.x_u)
-    return float(f1u @ _spd_solve(M1, f1u, "x"))
+    xs, ws = xi.as_arrays()
+    return _cholesky_form(info_stress(xi, model), model.stress_basis.evaluate(model.x_u), xs[ws > 0.0], "x")
 
 
 def avar_median(xi: ApproximateDesign, tau: ApproximateDesign, model: DegradationModel) -> float:

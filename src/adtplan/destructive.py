@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import stress_extrapolation_factor
-from .errors import DegenerateVarianceError, OutOfRegimeError, SingularDesignError, ValidationError
+from .criteria import _christoffel, stress_extrapolation_factor
+from .errors import DegenerateVarianceError, OutOfRegimeError, ValidationError
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel
 from .timeplan import GridSpec, OptimalityCertificate, OptimizerConfig, optimize_capped_weights, support_design
@@ -174,26 +174,11 @@ def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_sta
 
     The information of zeta = xi x tau is M1(xi) kron M2~(tau), with
     M2~(tau) = sum_j q_j f2(t_j) f2(t_j)' and q_j = tau_j / sigma^2(t_j), so
-    the criterion is f1(x_u)' M1(xi)^-1 f1(x_u) * f2(t*)' M2~(tau)^-1 f2(t*).
-    The monic polynomials pi_k orthogonal under q (Stieltjes' recurrence)
-    span the power basis, so the time factor is the sum of positive terms
-    pi_k(t*)^2 / sum_j q_j pi_k(t_j)^2, free of the digits a solve with M2~
-    loses to its condition number.
+    the criterion is f1(x_u)' M1(xi)^-1 f1(x_u) * f2(t*)' M2~(tau)^-1 f2(t*),
+    whose time factor is criteria's Christoffel kernel.
     """
     ts, ws = design.time_design.as_arrays()
-    p2 = model.p2
-    if np.count_nonzero(ws) < p2:
-        raise SingularDesignError(f"time design has fewer than the {p2} support points the time basis needs")
-    q = ws / VarianceFunction(model).sigma2(ts)
-    # poly, poly_star: pi_k at the t_j and at t*; *_prev: pi_{k-1}.
-    time_factor, poly, poly_prev, poly_star, star_prev, norm_prev = 0.0, np.ones_like(ts), 0.0, 1.0, 0.0, 1.0
-    for _ in range(p2):
-        norm = float(q @ (poly * poly))
-        time_factor += poly_star * poly_star / norm
-        a, b = float(q @ (ts * poly * poly)) / norm, norm / norm_prev
-        poly, poly_prev = (ts - a) * poly - b * poly_prev, poly
-        poly_star, star_prev = (t_star - a) * poly_star - b * star_prev, poly_star
-        norm_prev = norm
+    time_factor = _christoffel(ts, ws / VarianceFunction(model).sigma2(ts), t_star, model.p2)
     return float(stress_extrapolation_factor(design.stress_design, model) * time_factor)
 
 

@@ -105,6 +105,20 @@ class TestOptimizeTime:
         report = lines_as_dict(capsys.readouterr().out)
         assert report["certified"] == "false"
 
+    def test_cap_one_plan_at_a_grid_point_exits_zero(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # The one-point plan at t* = 1 identifies f2(t*) but not f2 at the median.
+        scn = tmp_path / "k1.scenario"
+        scn.write_text(MODEL_ONLY + "grid:\n  J: 20\n  k: 1\n")
+        code = main(["optimize-time", "--scenario", str(scn), "--t-star", "1.0"])
+        assert code == 0
+        report = lines_as_dict(capsys.readouterr().out)
+        assert report["certified"] == "true"
+        assert report["support_size"] == "1"
+        assert report["criterion_fixed"] == "0.002304"
+        assert report["avar_median"] == "inf"
+
     def test_missing_grid_exits_two(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

@@ -20,9 +20,11 @@ from adtplan import (
     info_time_fixed,
     info_time_fixed_total,
     median_failure_time,
+    sigma_u2,
     stress_extrapolation_factor,
 )
-from conftest import T_MEDIAN, random_affine_model
+from conftest import T_MEDIAN, cubic_model, quadratic_model, random_affine_model
+from oracles import time_criterion_50_digits
 
 TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
@@ -130,6 +132,51 @@ class TestCriterion:
         with pytest.raises(ValidationError):
             c_criterion_time(TAU0, table1, 0.0)
 
+    def test_one_point_design_at_t_star_is_estimable(self, table1: DegradationModel) -> None:
+        # f2(0.5) is a row of the rank-one information, so c' M^- c = sigma_eps^2 / w.
+        one_point = ApproximateDesign(points=(0.5,), weights=(1.0,))
+        report = c_criterion_time(one_point, table1, 0.5)
+        assert report.criterion_fixed == pytest.approx(0.048**2, rel=1e-15)
+        assert report.criterion_total == pytest.approx(0.048**2 + sigma_u2(0.5, table1), rel=1e-15)
+
+    def test_zero_weight_points_do_not_count(self, table1: DegradationModel) -> None:
+        padded = ApproximateDesign(points=(0.0, 0.5, 1.0), weights=(0.0, 1.0, 0.0))
+        with pytest.raises(SingularDesignError, match="direction"):
+            c_criterion_time(padded, table1, T_MEDIAN)
+        assert c_criterion_time(padded, table1, 0.5).criterion_fixed == pytest.approx(0.048**2, rel=1e-15)
+
+
+def clustered_time_design(rng: np.random.Generator, dim: int) -> ApproximateDesign:
+    """dim to dim + 2 points with random weights inside a random window 0.01-0.2 wide."""
+    n = dim + int(rng.integers(0, 3))
+    width = 10 ** rng.uniform(-2.0, -0.7)
+    pts = np.sort(rng.uniform(0.0, 1.0 - width) + width * rng.uniform(size=n))
+    w = rng.uniform(0.2, 1.0, size=n)
+    return ApproximateDesign(points=tuple(pts), weights=tuple(w / w.sum()))
+
+
+class TestCriterionAccuracy:
+    """criterion_fixed against 50-digit arithmetic on ill-conditioned higher-degree plans."""
+
+    @pytest.mark.parametrize("model_of", [quadratic_model, cubic_model], ids=["quadratic", "cubic"])
+    def test_clustered_designs(self, model_of) -> None:
+        model = model_of()
+        rng = np.random.default_rng(14 + model.p2)
+        for _ in range(25):
+            design = clustered_time_design(rng, model.p2)
+            t_star = float(np.exp(rng.uniform(np.log(0.3), np.log(8.0))))
+            assert c_criterion_time(design, model, t_star).criterion_fixed == pytest.approx(
+                time_criterion_50_digits(design, model, t_star), rel=1e-13, abs=0.0
+            )
+
+    def test_clustered_cubic_is_not_singular(self) -> None:
+        # An eigenvalue threshold at 1e-10 relative once rejected this nonsingular plan.
+        design = ApproximateDesign(points=(0.5, 0.52, 0.54, 0.56), weights=(0.25,) * 4)
+        model = cubic_model()
+        exact = time_criterion_50_digits(design, model, 2.0)
+        assert exact == pytest.approx(806678568.3548116, rel=1e-15)
+        assert c_criterion_time(design, model, 2.0).criterion_fixed == pytest.approx(exact, rel=1e-13, abs=0.0)
+
 
 class TestStressFactorAndAvar:
     def test_stress_factor_by_hand(self, table1: DegradationModel) -> None:
@@ -138,6 +185,17 @@ class TestStressFactorAndAvar:
         f1u = np.array([1.0, table1.x_u])
         expected = float(f1u @ np.linalg.solve(M1, f1u))
         assert stress_extrapolation_factor(xi, table1) == pytest.approx(expected, rel=1e-14)
+
+    def test_near_coincident_stress_points_raise_singular(self, table1: DegradationModel) -> None:
+        # Two support points pass the count rule; Cholesky then fails on rounding.
+        xi = ApproximateDesign(points=(0.3, 0.3 + 1e-8), weights=(0.5, 0.5))
+        with pytest.raises(SingularDesignError, match="numerically singular"):
+            stress_extrapolation_factor(xi, table1)
+
+    def test_one_point_stress_design_names_direction(self, table1: DegradationModel) -> None:
+        xi = ApproximateDesign(points=(0.0, 1.0), weights=(0.0, 1.0))
+        with pytest.raises(SingularDesignError, match=r"direction \(x - 1\)$"):
+            stress_extrapolation_factor(xi, table1)
 
     def test_avar_is_product_of_parts(self, table1: DegradationModel) -> None:
         xi = elfving_stress_design(table1)

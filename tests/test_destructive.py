@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from adtplan import (
     ValidationError,
     VarianceFunction,
     c_criterion_single_obs,
+    c_criterion_time,
     elfving_stress_design,
     elfving_time_design,
     h,
@@ -29,6 +32,7 @@ from adtplan import (
     product_design,
     sigma_u,
     sigma_u2,
+    stress_extrapolation_factor,
     uniform_time_design,
     vary_ratio_via_rho,
     weighted_f2,
@@ -326,6 +330,22 @@ class TestSingleObsInformation:
             assert c_criterion_single_obs(zeta, model, t_star) == pytest.approx(
                 kronecker_criterion_single_obs(zeta, model, t_star), rel=1e-13, abs=0.0
             )
+
+    def test_equals_repeated_measures_criterion_without_random_effects(self) -> None:
+        # With Sigma_gamma = 0 both criteria weight the time plan by w / sigma_eps^2,
+        # so the two front ends must agree to the last bit.
+        rng = np.random.default_rng(14)
+        for degree in (1, 2, 3):
+            for _ in range(100):
+                model = dataclasses.replace(random_model(rng, degree), sigma_gamma=np.zeros((degree + 1,) * 2).tolist())
+                n = degree + 1 + int(rng.integers(0, 3))
+                pts, w = np.sort(rng.choice(101, n, replace=False)) / 100, rng.uniform(0.2, 1.0, size=n)
+                tau = ApproximateDesign(points=tuple(pts), weights=tuple(w / w.sum()))
+                xi = elfving_stress_design(model)
+                t_star = float(rng.uniform(0.3, 8.0))
+                assert c_criterion_single_obs(product_design(xi, tau), model, t_star) == (
+                    stress_extrapolation_factor(xi, model) * c_criterion_time(tau, model, t_star).criterion_fixed
+                )
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
     def test_one_point_time_design_is_singular(self, table1: DegradationModel, t: float) -> None:
