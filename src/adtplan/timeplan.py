@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .criteria import c_criterion_time
+from .criteria import _christoffel
 from .errors import InfeasibleDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -44,9 +44,6 @@ __all__ = [
     "round_to_exact",
     "design_sensitivity",
 ]
-
-# Share of its norm a start point keeps outside the span of those chosen before.
-_START_INDEPENDENCE = 0.1
 
 # Certificate tolerance, one value for three uses: the largest ordering
 # violation a certified design may show, the engine's stopping gap in phi, and
@@ -144,7 +141,7 @@ class _CappedCProblem:
     """Minimize c' M(w)^-1 c, M(w) = sum_j w_j v_j v_j', over the capped simplex.
 
     The iterate w, its ascending support S and the lower Cholesky factor L
-    of M(w) travel together: spread() or start() sets them, and a move that
+    of M(w) travel together: spread() sets them, and a move that
     accepts a trial design keeps the factor it took of that trial, so each
     design is factorized once.  M is summed over V[S], so a step costs
     O(|S| p^2), not a scan of the grid.
@@ -249,7 +246,8 @@ class _CappedCProblem:
         room.  A spread whose factor is singular or ill-conditioned (a cluster
         around a nearly one-point optimum, as for t* <= 1 near a grid point)
         moves the share _SPREAD_BLEND of its weight to m equally spaced
-        points; start() is the fallback if that too is singular.
+        points, nonsingular when any p candidate vectors are linearly
+        independent.
         """
         n, cap = self.n, self.cap
         self.stack = np.vstack([self.V, self.c])
@@ -278,53 +276,15 @@ class _CappedCProblem:
             diagonal = self.L.diagonal().tolist()
             if max(diagonal) <= _SPREAD_DIAGONAL_RATIO * min(diagonal):
                 return
-        m = self._start_size()
+        # m = max(p, ceil(1/cap)) points, k for cap 1/k; the 1e-9 absorbs 1/cap's rounding.
+        m = min(n, max(self.p, math.ceil(1.0 / cap - 1e-9)))
         w *= 1.0 - _SPREAD_BLEND
         w[np.round(np.linspace(0, n - 1, m)).astype(np.intp)] += _SPREAD_BLEND / m
         np.minimum(w, cap, out=w)
         self.S = np.flatnonzero(w > 0.0)
         self.L = self.cholesky(w, self.S)
         if self.L is None:
-            self.start()
-
-    def _start_size(self) -> int:
-        """Points of a start design at equal weight: max(p, ceil(1/cap)), k for cap 1/k."""
-        # ceil(1/cap) with 1/cap's rounding absorbed.
-        return min(self.n, max(self.p, math.ceil(1.0 / self.cap - 1e-9)))
-
-    def start(self) -> None:
-        """Fallback start design: m = max(p, ceil(1/cap)) points at weight 1/m.
-
-        The first p are linearly independent points taken in descending order
-        of phi at the uniform design, the rest the next highest-phi points.
-        Used only where the spaced basis of Elfving's simplex, or the spread
-        start after its blend, is singular, which on a power basis over
-        distinct times neither is.
-        """
-        _, phi = self.criterion_and_sensitivity(self.cholesky(np.full(self.n, 1.0 / self.n), np.arange(self.n)))
-        if phi is None:
-            raise InfeasibleDesignError("the candidate set does not span the target direction: singular uniform design")
-        order = np.argsort(-phi, kind="stable")
-        floor = _START_INDEPENDENCE * np.linalg.norm(self.V[order], axis=1)
-        chosen: list[int] = []
-        basis = np.zeros((0, self.p))
-        for _ in range(self.p):
-            resid = self.V - (self.V @ basis.T) @ basis
-            lengths = np.linalg.norm(resid, axis=1)
-            # The first point in phi order that is far enough from the span of
-            # the chosen ones; failing that, the farthest point.
-            ok = order[lengths[order] > floor]
-            j = int(ok[0]) if ok.size else int(np.argmax(lengths))
-            chosen.append(j)
-            basis = np.vstack([basis, resid[j] / lengths[j]])
-        m = self._start_size()
-        chosen += order[~np.isin(order, chosen)][: m - len(chosen)].tolist()
-        self.w[:] = 0.0
-        self.w[chosen] = 1.0 / m
-        self.S = np.flatnonzero(self.w > 0.0)
-        self.L = self.cholesky(self.w, self.S)
-        if self.L is None:
-            raise InfeasibleDesignError("the candidate vectors are too close to collinear for a nonsingular start")
+            raise InfeasibleDesignError("singular blended start: some p candidate vectors are linearly dependent")
 
 
 def _nearest(s: int, n: int) -> Iterator[int]:
@@ -376,8 +336,11 @@ def optimize_capped_weights(
     """Minimize c' (sum_j w_j v_j v_j')^-1 c subject to 0 <= w <= cap, sum w = 1.
 
     Generic engine shared by the time-plan and destructive-design fronts;
-    rows of ``vectors`` are the candidate regression vectors v_j.  Returns
-    the weight vector over all candidates together with its certificate.
+    rows of ``vectors`` are the candidate regression vectors v_j, and any p
+    of them must be linearly independent, as the rows of a power basis and
+    their positive scalings over distinct times are.  A singular start
+    (dependent candidates) raises InfeasibleDesignError.  Returns the weight
+    vector over all candidates together with its certificate.
     Cap 1 runs Elfving's simplex, a cap of at most 1/p the exchange; caps in
     between raise ValidationError.  ``callback(iteration, criterion,
     weights)`` is invoked at the start and after every step or pivot, which
@@ -472,9 +435,7 @@ def _elfving_pivots(
     try:
         u = np.linalg.solve(V[basis].T, c)
     except np.linalg.LinAlgError:
-        problem.start()  # at cap 1, p linearly independent points
-        basis = np.flatnonzero(problem.w)
-        u = np.linalg.solve(V[basis].T, c)
+        raise InfeasibleDesignError("singular start basis: some p candidate vectors are linearly dependent") from None
     sign = np.where(u < 0.0, -1.0, 1.0)
     iteration, bland, total, seen = 0, False, math.nan, set()
     while True:
@@ -559,15 +520,17 @@ def optimize_time_plan(
 def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) -> ApproximateDesign:
     """Design on the grid points whose weight exceeds tol, the certificate's weight tolerance.
 
-    Each weight cut off goes to the nearest unsaturated point kept: its
-    regression vector is the closest, so the sensitivities move least, and
-    saturated weights stay at the cap.
+    Each weight cut off goes to the nearest kept point with room for it
+    (w + cut <= cap): its regression vector is the closest, so the
+    sensitivities move least, and no weight passes the cap.  A cut beside
+    points at exactly the cap, with no room anywhere, is dropped.
     """
     w = w.copy()
-    free = np.flatnonzero((w > tol) & (w < cap - tol))
+    kept = np.flatnonzero(w > tol)
     for j in np.flatnonzero((w > 0.0) & (w <= tol)):
-        if free.size:
-            w[free[np.argmin(np.abs(free - j))]] += w[j]
+        room = kept[w[kept] + w[j] <= cap]
+        if room.size:
+            w[room[np.argmin(np.abs(room - j))]] += w[j]
         w[j] = 0.0
     return ApproximateDesign(points=tuple(points[w > 0.0].tolist()), weights=tuple(w[w > 0.0].tolist()))
 
@@ -622,10 +585,15 @@ def round_to_exact(
 ) -> ApproximateDesign:
     """Exact k-point plan (weights 1/k) from a capped approximate plan.
 
-    Keeps every saturated point and fills the remaining slots from the
-    partial-weight points: all assignments are enumerated when at most two
-    points are partial, otherwise slots are filled greedily by sensitivity.
-    Ties prefer the smallest support change, then lexicographic order.
+    Keeps every saturated point and drops partial-weight points one at a
+    time until k points remain: each time the one whose removal leaves the
+    smallest criterion while the remaining partial points share the free
+    weight equally (ties drop the lighter point, then the later one).  With
+    at most two partial points this scores every choice; m partial points
+    cost O(m^2) criteria where enumeration costs C(m, slots).  The ranking
+    uses f2(t*)' M^- f2(t*) of the weights alone, the criterion under
+    i.i.d. errors: sigma_eps and the design-free random part cancel from
+    it.  With no free slot the partial points are dropped unscored.
     """
     if k < 1:
         raise ValidationError(f"k must be a positive count, got {k}")
@@ -641,46 +609,27 @@ def round_to_exact(
 
     sat_tol = 1e-9
     saturated = ws >= cap - sat_tol
-    partial = (ws > sat_tol) & ~saturated
     n_slots = k - int(saturated.sum())
     if n_slots < 0:
         raise InfeasibleDesignError(f"more than {k} points already saturated at 1/{k}")
-    candidates = np.flatnonzero(partial)
-    if candidates.size < n_slots:
-        raise InfeasibleDesignError(
-            f"only {int(saturated.sum()) + candidates.size} candidate points for {k} slots"
-        )
-
-    def exact_design(chosen: Sequence[int]) -> ApproximateDesign:
-        idx = sorted(np.flatnonzero(saturated).tolist() + list(chosen))
-        pts = tuple(float(ts[i]) for i in idx)
-        wts = [cap] * len(idx)
-        wts[-1] = 1.0 - cap * (len(idx) - 1)  # absorb float residual
-        return ApproximateDesign(points=pts, weights=tuple(wts))
-
+    kept = np.flatnonzero((ws > sat_tol) & ~saturated).tolist()
+    if len(kept) < n_slots:
+        raise InfeasibleDesignError(f"only {k - n_slots + len(kept)} candidate points for {k} slots")
     if n_slots == 0:
-        if partial.any():
-            # All slots saturated; drop stray partial mass (infeasible input
-            # shapes were rejected above, so this only trims roundoff).
-            return exact_design([])
-        return design
+        if not kept:
+            return design
+        kept = []  # no free slot: the partial mass is roundoff, dropped unscored
+    free = 1.0 - cap * (k - n_slots)
 
-    if candidates.size <= 2:
-        pool = candidates.tolist()  # n_slots is 1 or 2 here
-        choices = [tuple(pool)] if n_slots == len(pool) else [(i,) for i in pool]
-    else:
-        # Greedy by sensitivity at the input design.
-        phi = design_sensitivity(*_time_problem(model, ts, t_star), ws)
-        ranked = sorted(candidates.tolist(), key=lambda i: (-phi[i], ts[i]))
-        choices = [tuple(sorted(ranked[:n_slots]))]
+    def without(i: int) -> tuple[float, float, int]:
+        """Rank of dropping point i: the criterion left, then the lighter and the later point first."""
+        q = np.where(saturated, cap, 0.0)
+        q[[j for j in kept if j != i]] = free / (len(kept) - 1)
+        return _christoffel(ts, q, float(t_star), model.p2), ws[i], -i
 
-    designs = [exact_design(choice) for choice in choices]
-    if len(designs) == 1:
-        return designs[0]
-    input_support = {float(t) for t, w in zip(ts, ws) if w > sat_tol}
-
-    def score(cand: ApproximateDesign) -> tuple[float, int, tuple[float, ...]]:
-        crit = c_criterion_time(cand, model, t_star).criterion_total
-        return (crit, len(input_support.symmetric_difference(cand.points)), cand.points)
-
-    return min(designs, key=score)
+    while len(kept) > n_slots:
+        kept.remove(min(kept, key=without))
+    idx = sorted(np.flatnonzero(saturated).tolist() + kept)
+    weights = [cap] * k
+    weights[-1] = 1.0 - cap * (k - 1)  # absorb float residual
+    return ApproximateDesign(points=tuple(ts[idx].tolist()), weights=tuple(weights))

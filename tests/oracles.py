@@ -7,6 +7,7 @@ code it checks is not independent of it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -21,6 +22,7 @@ from adtplan import (
     SweepRow,
     SweepSpec,
     ValidationError,
+    c_criterion_time,
     elfving_stress_design,
     elfving_time_design,
     median_failure_time,
@@ -107,6 +109,49 @@ def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.nda
     if not res.success:
         raise SingularDesignError(f"the Elfving program has no solution: {res.message}")
     return float(res.fun) ** 2, res.x[:n] - res.x[n:]
+
+
+def best_exact_rounding(design: ApproximateDesign, k: int, model: DegradationModel, t_star: float) -> ApproximateDesign:
+    """Best exact k-point plan (weights 1/k) that keeps every saturated point of design.
+
+    Tries every choice of the free slots among the partial-weight points
+    (weight in (1e-9, 1/k - 1e-9)) and scores each plan with
+    c_criterion_time; the first best in lexicographic order wins.  Costs
+    C(m, slots) criteria for m partial points, so test-sized plans only.
+    """
+    cap = 1.0 / k
+    ts, ws = design.as_arrays()
+    saturated = ws >= cap - 1e-9
+    partial = np.flatnonzero((ws > 1e-9) & ~saturated).tolist()
+    best: tuple[float, ApproximateDesign] | None = None
+    for choice in itertools.combinations(partial, k - int(saturated.sum())):
+        idx = sorted(np.flatnonzero(saturated).tolist() + list(choice))
+        plan = ApproximateDesign(points=tuple(ts[idx].tolist()), weights=(cap,) * k)
+        crit = c_criterion_time(plan, model, t_star).criterion_total
+        if best is None or crit < best[0]:
+            best = (crit, plan)
+    if best is None:
+        raise ValidationError(f"{len(partial)} partial points cannot fill the free slots of k = {k}")
+    return best[1]
+
+
+def scan_draws(seed: int, n: int = 300) -> list[tuple[int, int, int, float]]:
+    """n capped time-plan problems (degree, J, k, t*) drawn from numpy.random.default_rng(seed).
+
+    degree uniform on 1..3, J log-uniform on [20, 1000], k uniform on
+    [max(2, degree + 1), min(50, J + 1)] and t* log-uniform on [1.05, 10],
+    rounded to 3 decimals: the regimes of the repeated-measures benchmark,
+    widened to the cubic basis.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        degree = int(rng.integers(1, 4))
+        J = int(round(math.exp(rng.uniform(math.log(20.0), math.log(1000.0)))))
+        k = int(rng.integers(max(2, degree + 1), min(50, J + 1) + 1))
+        t_star = round(math.exp(rng.uniform(math.log(1.05), math.log(10.0))), 3)
+        draws.append((degree, J, k, t_star))
+    return draws
 
 
 def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:

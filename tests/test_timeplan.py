@@ -18,6 +18,7 @@ from adtplan import (
     PowerBasis,
     ValidationError,
     c_criterion_time,
+    efficiency,
     kkt_check,
     median_failure_time,
     numeric_destructive_time_design,
@@ -28,7 +29,7 @@ from adtplan import (
 )
 from adtplan.timeplan import design_sensitivity
 from conftest import T_MEDIAN, cubic_model, quadratic_model
-from oracles import elfving_lp_oracle, two_point_extrapolation_design
+from oracles import best_exact_rounding, elfving_lp_oracle, scan_draws, two_point_extrapolation_design
 
 TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
@@ -224,23 +225,42 @@ class TestExchangeEngine:
         assert np.all(starts[0] >= 0.0) and np.all(starts[0] <= 1.0 / k)
         assert cert.certified
 
-    def test_singular_spread_falls_back_to_start(self) -> None:
-        # Elfving's optimum is the one point (3, 0).  Its block, (3, 0) and
-        # (1, 0), and the equally spaced points blended in, (1, 0) and (2, 0),
-        # are collinear, so the start comes from start(): two linearly
-        # independent points at 1/2.
+    def test_dependent_candidates_raise(self) -> None:
+        # Any p candidate vectors must be linearly independent.  Here the
+        # simplex's spaced start basis, (1, 0) and (2, 0), is collinear, and
+        # the capped exchange starts from that simplex's optimum.
         vectors = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
         c = np.array([1.0, 0.0])
-        path: list[tuple[float, np.ndarray]] = []
-        w, cert = optimize_capped_weights(vectors, c, 0.5, callback=lambda it, value, w: path.append((value, w)))
-        value, start = path[0]
-        assert sorted(start.tolist()) == [0.0, 0.0, 0.0, 0.5, 0.5]
-        assert np.linalg.matrix_rank(vectors[start > 0.0]) == 2
-        assert value == pytest.approx(_criterion(vectors, c, start), rel=1e-12)
-        # The optimum, (3, 0) and (2, 0) at 1/2, is singular: the exchange
-        # rejects the step to it and restores the weights.
+        with pytest.raises(InfeasibleDesignError, match="linearly dependent"):
+            optimize_capped_weights(vectors, c, 0.5)
+        with pytest.raises(InfeasibleDesignError, match="linearly dependent"):
+            optimize_capped_weights(vectors, c, 1.0)
+        # Two grid points cannot carry three independent quadratic vectors.
+        with pytest.raises(InfeasibleDesignError):
+            optimize_time_plan(GridSpec(J=1, k=1), quadratic_model(), 2.0)
+
+    def test_singular_trial_restores_the_iterate(
+        self, table1: DegradationModel, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        # This plan takes one exchange step from its start (_PINNED_PLANS).  A
+        # factor that fails once, on that step's trial, rejects the step: the
+        # weights stay at the start and the run ends uncertified.
+        vectors = table1.time_basis.evaluate_many(np.arange(101) / 100) / table1.sigma_eps
+        c = table1.time_basis.evaluate(1.1)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def fails_once(a: np.ndarray) -> np.ndarray:
+            calls.append(a)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("singular trial")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails_once)
+        path: list[np.ndarray] = []
+        w, cert = optimize_capped_weights(vectors, c, 1 / 3, callback=lambda it, value, w: path.append(w))
+        assert len(calls) == 2 and len(path) == 1
         assert cert.iterations == 0 and not cert.certified
-        assert np.array_equal(w, start)
+        assert np.array_equal(w, path[0])
 
     def test_one_point_cap1_optimum_has_unit_weight(self, table1: DegradationModel) -> None:
         # At t* = 1 all mass sits on t = 1; the engine once left 0.9999999999999999.
@@ -336,6 +356,22 @@ class TestExchangeEngine:
         assert len(design.points) == k
         assert all(w == pytest.approx(1 / k, abs=1e-12) for w in design.weights)
         assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "J, k, t_star", [(None, 1, 1 + 1e-8), (400, 1, 1 + 1e-8), (17, 5, 2 / 17 + 1e-8), (14, 10, 0.50000001)]
+    )
+    def test_cut_weight_keeps_the_mass(self, table1: DegradationModel, J: int | None, k: int, t_star: float) -> None:
+        # t* just above a grid point leaves dust (about 1e-8) beside points
+        # near the cap; it once went missing and the design raised "weights
+        # must sum to 1".  J = None is numeric_destructive_time_design's grid.
+        if J is None:
+            design, cert = numeric_destructive_time_design(table1, t_star)
+        else:
+            design, cert = optimize_time_plan(GridSpec(J=J, k=k), table1, t_star)
+        assert cert.certified
+        assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
+        assert min(design.weights) > cert.tol
+        assert max(design.weights) <= 1.0 / k
 
     @pytest.mark.parametrize(
         "basis, J, k, t_star, iterations, max_violation, support, free, factorizations", _PINNED_PLANS
@@ -498,6 +534,51 @@ class TestRoundToExact:
         assert all(w == pytest.approx(1 / 6, abs=1e-15) for w in exact.weights)
         # Rounding resolves the split pair by criterion value, keeping 0.85.
         assert exact.points == (0.0, 0.05, 0.85, 0.90, 0.95, 1.00)
+
+    @pytest.mark.parametrize(
+        "basis, J, k, t_star, at_least",
+        [
+            ("quadratic", 798, 3, 7.029, 0.891),
+            ("cubic", 210, 4, 6.711, 0.898),
+            ("quadratic", 179, 3, 1.485, 0.904),
+            ("cubic", 460, 7, 1.31, 0.949),
+            ("cubic", 201, 5, 1.16, 0.882),
+            ("cubic", 28, 4, 1.888, 0.885),
+            # The two quadratic plans of the repeated benchmark round.
+            ("quadratic", 21, 13, 9.199, 0.998),
+            ("quadratic", 294, 24, 2.391, 0.998),
+        ],
+    )
+    def test_flat_optima_round_by_criterion(self, basis: str, J: int, k: int, t_star: float, at_least: float) -> None:
+        # Three or four partial points whose phi agree to the certificate's
+        # tolerance: ranking them by phi kept efficiencies of 3.7e-6 to 1.5e-3
+        # on the first six, and 0.983 and 0.996 on the last two.
+        model = {"quadratic": quadratic_model, "cubic": cubic_model}[basis]()
+        design, cert = optimize_time_plan(GridSpec(J=J, k=k), model, t_star)
+        assert cert.certified
+        exact = round_to_exact(design, k, model, t_star)
+        assert exact.points == best_exact_rounding(design, k, model, t_star).points
+        assert efficiency(exact, design, model, t_star) >= at_least
+
+    def test_scan_rounds_near_the_best_choice(self, table1: DegradationModel) -> None:
+        # 300 drawn plans of degree 1-3: dropping partial points one at a time
+        # by the criterion stays within 0.3 % of every choice's best, and is
+        # that best with at most two partial points, where it scores them all.
+        models = {1: table1, 2: quadratic_model(), 3: cubic_model()}
+        misses = []
+        for degree, J, k, t_star in scan_draws(20261018):
+            model = models[degree]
+            design, _ = optimize_time_plan(GridSpec(J=J, k=k), model, t_star)
+            exact = round_to_exact(design, k, model, t_star)
+            best = best_exact_rounding(design, k, model, t_star)
+            ws = np.array(design.weights)
+            partial = np.count_nonzero((ws > 1e-9) & (ws < 1.0 / k - 1e-9))
+            ratio = c_criterion_time(exact, model, t_star).criterion_total / c_criterion_time(
+                best, model, t_star
+            ).criterion_total
+            if ratio > 1.003 or (partial <= 2 and exact.points != best.points):
+                misses.append((degree, J, k, t_star, partial, ratio))
+        assert misses == []
 
     def test_k_too_small_rejected(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
