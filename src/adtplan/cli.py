@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import Callable
 
 from .criteria import avar_median, c_criterion_time, efficiency, stress_extrapolation_factor
 from .destructive import (
@@ -91,38 +92,30 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _design_csv(rows: list[tuple[float, float, float, bool]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "weight", "sensitivity", "saturated"])
-    for t, weight, sens, sat in rows:
-        w.writerow([repr(float(t)), repr(float(weight)), repr(float(sens)), _fmt(sat)])
-    return buf.getvalue()
+def _write_table(
+    args: argparse.Namespace,
+    scenario: Scenario,
+    header: list[str],
+    rows: list[list[object]],
+    json_doc: Callable[[list[str], list[list[object]]], object],
+) -> None:
+    """Write rows to --out or output.path (neither: no file), CSV cells by _fmt or json_doc(header, rows) as JSON."""
+    output = scenario.output
+    path = getattr(args, "out", None) or (output.path if output is not None else None)
+    if path is None:
+        return
+    if output is not None and output.format == "json":
+        text = json.dumps(json_doc(header, rows), indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *([_fmt(v) for v in row] for row in rows)])
+        text = buf.getvalue()
+    _atomic_write(path, text)
+    _emit("out", path)
 
 
-def _sweep_csv(header: list[str], rows: list[list[float]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
-
-
-def _design_json(rows: list[tuple[float, float, float, bool]]) -> str:
-    return json.dumps(
-        [
-            {"t": t, "weight": weight, "sensitivity": sens, "saturated": sat}
-            for t, weight, sens, sat in rows
-        ],
-        indent=2,
-    ) + "\n"
-
-
-def _sweep_json(header: list[str], rows: list[list[float]]) -> str:
-    # NaN is not valid JSON; unreachable cells become null.
-    clean = [[None if math.isnan(v) else float(v) for v in row] for row in rows]
-    return json.dumps({"columns": header, "rows": clean}, indent=2) + "\n"
+def _records(header: list[str], rows: list[list[object]]) -> list[dict[str, object]]:
+    return [dict(zip(header, row)) for row in rows]
 
 
 def _model_lines(model: DegradationModel) -> None:
@@ -157,18 +150,6 @@ def _read_design_csv(path: str) -> ApproximateDesign:
         points=tuple(t for t, _ in rows),
         weights=tuple(w / total for _, w in rows),
     )
-
-
-def _out_path(args: argparse.Namespace, scenario: Scenario) -> str | None:
-    if getattr(args, "out", None):
-        return args.out
-    if scenario.output is not None:
-        return scenario.output.path
-    return None
-
-
-def _out_format(scenario: Scenario) -> str:
-    return scenario.output.format if scenario.output is not None else "csv"
 
 
 def cmd_quantile(args: argparse.Namespace, scenario: Scenario) -> int:
@@ -217,18 +198,12 @@ def cmd_optimize_time(args: argparse.Namespace, scenario: Scenario) -> int:
     _emit("support_size", len(design.points))
     _emit("elapsed_s", round(elapsed, 6))
 
-    path = _out_path(args, scenario)
-    if path is not None:
-        check = kkt_check(design, grid, model, t_star)
-        sens = dict(zip(grid.points().tolist(), check.sensitivity))
-        cap = grid.cap
-        rows = [
-            (t, w, sens[t], w >= cap - 1e-9)
-            for t, w in zip(design.points, design.weights)
-        ]
-        text = _design_json(rows) if _out_format(scenario) == "json" else _design_csv(rows)
-        _atomic_write(path, text)
-        _emit("out", path)
+    index = {t: i for i, t in enumerate(grid.points().tolist())}
+    rows = [
+        [t, w, cert.sensitivity[index[t]], index[t] in cert.saturated_set]
+        for t, w in zip(design.points, design.weights)
+    ]
+    _write_table(args, scenario, ["t", "weight", "sensitivity", "saturated"], rows, _records)
     return _EXIT_OK if cert.certified else _EXIT_NOT_CERTIFIED
 
 
@@ -249,14 +224,10 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
     _emit("criterion_single_obs", c_criterion_single_obs(zeta, model, t_star))
     _emit("certified", True)  # the Elfving design is optimal by construction
 
-    path = _out_path(args, scenario)
-    if path is not None:
-        ts, ws = tau.as_arrays()
-        sens = design_sensitivity(weighted_f2(ts, model), model.time_basis.evaluate(t_star), ws)
-        rows = [(t, w, s, w >= 1.0 - 1e-9) for t, w, s in zip(tau.points, tau.weights, sens.tolist())]
-        text = _design_json(rows) if _out_format(scenario) == "json" else _design_csv(rows)
-        _atomic_write(path, text)
-        _emit("out", path)
+    ts, ws = tau.as_arrays()
+    sens = design_sensitivity(weighted_f2(ts, model), model.time_basis.evaluate(t_star), ws)
+    rows = [[t, w, s, w >= 1.0 - 1e-9] for t, w, s in zip(tau.points, tau.weights, sens.tolist())]
+    _write_table(args, scenario, ["t", "weight", "sensitivity", "saturated"], rows, _records)
     return _EXIT_OK
 
 
@@ -298,23 +269,16 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
     _emit("unreachable_rows", sum(1 for r in result.rows if not r.reachable))
     _emit("elapsed_s", round(elapsed, 6))
 
-    path = _out_path(args, scenario)
-    if path is not None:
-        col = {name: i for i, name in enumerate(spec.candidates)}
-        rows = []
-        for r in result.rows:
-            effs = [
-                r.efficiencies[col[name]] if name in col else math.nan
-                for name in ALL_CANDIDATES
-            ]
-            rows.append([r.abscissa, r.pi_star, *effs])
-        header = ["abscissa", "pi_star", *_EFF_KEYS]
-        if _out_format(scenario) == "json":
-            text = _sweep_json(header, rows)
-        else:
-            text = _sweep_csv(header, rows)
-        _atomic_write(path, text)
-        _emit("out", path)
+    col = {name: i for i, name in enumerate(spec.candidates)}
+    rows = [
+        [r.abscissa, r.pi_star, *(r.efficiencies[col[name]] if name in col else math.nan for name in ALL_CANDIDATES)]
+        for r in result.rows
+    ]
+    # NaN is not valid JSON; unreachable cells become null.
+    _write_table(
+        args, scenario, ["abscissa", "pi_star", *_EFF_KEYS], rows,
+        lambda header, rows: {"columns": header, "rows": [[None if math.isnan(v) else v for v in r] for r in rows]},
+    )
     return _EXIT_OK
 
 

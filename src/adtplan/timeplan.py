@@ -523,9 +523,11 @@ def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) ->
     Each weight cut off goes to the nearest kept point with room for it
     (w + cut <= cap): its regression vector is the closest, so the
     sensitivities move least, and no weight passes the cap.  A cut beside
-    points at exactly the cap, with no room anywhere, is dropped.
+    points at exactly the cap, with no room anywhere, is dropped.  Cap 1
+    cuts nothing: Elfving's simplex sets its degenerate zeros exactly, so
+    every small weight it leaves is needed to identify f2(t*).
     """
-    w = w.copy()
+    w, tol = w.copy(), tol if cap < 1.0 else 0.0
     kept = np.flatnonzero(w > tol)
     for j in np.flatnonzero((w > 0.0) & (w <= tol)):
         room = kept[w[kept] + w[j] <= cap]
@@ -585,15 +587,16 @@ def round_to_exact(
 ) -> ApproximateDesign:
     """Exact k-point plan (weights 1/k) from a capped approximate plan.
 
-    Keeps every saturated point and drops partial-weight points one at a
-    time until k points remain: each time the one whose removal leaves the
-    smallest criterion while the remaining partial points share the free
-    weight equally (ties drop the lighter point, then the later one).  With
-    at most two partial points this scores every choice; m partial points
-    cost O(m^2) criteria where enumeration costs C(m, slots).  The ranking
-    uses f2(t*)' M^- f2(t*) of the weights alone, the criterion under
-    i.i.d. errors: sigma_eps and the design-free random part cancel from
-    it.  With no free slot the partial points are dropped unscored.
+    Keeps every saturated point, classified as in the certificate, and
+    drops partial-weight points one at a time until k points remain: each
+    time the one whose removal leaves the smallest criterion while the
+    remaining partial points share the free weight equally (ties drop the
+    lighter point, then the later one).  With at most two partial points
+    this scores every choice; m partial points cost O(m^2) criteria where
+    enumeration costs C(m, slots).  The ranking uses f2(t*)' M^- f2(t*) of
+    the weights alone, the criterion under i.i.d. errors: sigma_eps and the
+    design-free random part cancel from it.  With no free slot the partial
+    points are dropped unscored.
     """
     if k < 1:
         raise ValidationError(f"k must be a positive count, got {k}")
@@ -607,12 +610,11 @@ def round_to_exact(
     if np.any(ws > cap + 1e-12):
         raise InfeasibleDesignError(f"design weight exceeds the cap 1/{k}")
 
-    sat_tol = 1e-9
-    saturated = ws >= cap - sat_tol
+    saturated, interior, _ = _classify(ws, cap, _TOL)
     n_slots = k - int(saturated.sum())
     if n_slots < 0:
         raise InfeasibleDesignError(f"more than {k} points already saturated at 1/{k}")
-    kept = np.flatnonzero((ws > sat_tol) & ~saturated).tolist()
+    kept = np.flatnonzero(interior).tolist()
     if len(kept) < n_slots:
         raise InfeasibleDesignError(f"only {k - n_slots + len(kept)} candidate points for {k} slots")
     if n_slots == 0:

@@ -306,17 +306,22 @@ def test_stdout_matches_golden(name: str, tmp_path: Path, capsys: pytest.Capture
         assert written.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["optimize_time", "optimize_destructive_t2.5"])
-def test_design_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
-    # output.format json writes the rows of the design CSV as objects with the same keys and values.
+def json_table(name: str, tmp_path: Path) -> object:
+    """The golden run's --out file under output.format json, parsed."""
     scn = tmp_path / "json.scenario"
     scn.write_text(SCENARIO.read_text() + "output:\n  format: json\n")
-    out = tmp_path / "design.json"
+    out = tmp_path / "table.json"
     argv = [a.format(tmp=tmp_path) for a in GOLDEN_RUNS[name]]
     argv[argv.index("--out") + 1] = str(out)
     assert main([argv[0], "--scenario", str(scn), *argv[1:]]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("name", ["optimize_time", "optimize_destructive_t2.5"])
+def test_design_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # output.format json writes the rows of the design CSV as objects with the same keys and values.
+    payload = json_table(name, tmp_path)
     capsys.readouterr()
-    payload = json.loads(out.read_text())
     with (GOLDEN / f"{name}.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [list(obj) for obj in payload] == [["t", "weight", "sensitivity", "saturated"]] * len(rows)
@@ -329,3 +334,16 @@ def test_design_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytes
         }
         for r in rows
     ]
+
+
+@pytest.mark.parametrize("name", ["sweep_t_median", "sweep_sigma_ratio"])
+def test_sweep_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    # output.format json writes the sweep CSV as its header and rows of cells, NaN as null.
+    payload = json_table(name, tmp_path)
+    capsys.readouterr()
+    with (GOLDEN / f"{name}.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert list(payload) == ["columns", "rows"]
+    assert payload["columns"] == header
+    assert payload["rows"] == [[None if cell == "nan" else float(cell) for cell in row] for row in rows]
+    assert any(None in row for row in payload["rows"]) == (name == "sweep_sigma_ratio")

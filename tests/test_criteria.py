@@ -145,6 +145,33 @@ class TestCriterion:
             c_criterion_time(padded, table1, T_MEDIAN)
         assert c_criterion_time(padded, table1, 0.5).criterion_fixed == pytest.approx(0.048**2, rel=1e-15)
 
+    def test_full_error_covariance(self) -> None:
+        # An exact 4-point quadratic plan with correlated errors:
+        # c'(F' Sigma_eps^-1 F / k)^-1 c + c' Sigma_gamma c by direct solves.
+        base = quadratic_model()
+        idx = np.arange(4)
+        Sigma_eps = 0.048**2 * 0.6 ** np.abs(idx[:, None] - idx[None, :])
+        model = DegradationModel(
+            stress_basis=base.stress_basis,
+            time_basis=base.time_basis,
+            beta=base.beta,
+            sigma_gamma=base.sigma_gamma,
+            error_spec=ErrorSpec(full=Sigma_eps.tolist()),
+            x_u=base.x_u,
+            y0=base.y0,
+        )
+        ts, t_star = np.array([0.0, 0.3, 0.7, 1.0]), 2.5
+        F, c = np.vander(ts, 3, increasing=True), np.array([1.0, t_star, t_star**2])
+        fixed = c @ np.linalg.solve(F.T @ np.linalg.solve(Sigma_eps, F) / 4, c)
+        random = c @ model.sigma_gamma_matrix() @ c
+        report = c_criterion_time(ApproximateDesign(points=tuple(ts), weights=(0.25,) * 4), model, t_star)
+        assert report.criterion_fixed == pytest.approx(fixed, rel=1e-12)
+        assert report.criterion_random == pytest.approx(random, rel=1e-12)
+        assert report.criterion_total == report.criterion_fixed + report.criterion_random
+        skewed = ApproximateDesign(points=tuple(ts), weights=(0.1, 0.4, 0.4, 0.1))
+        with pytest.raises(ValidationError):
+            c_criterion_time(skewed, model, t_star)
+
 
 def clustered_time_design(rng: np.random.Generator, dim: int) -> ApproximateDesign:
     """dim to dim + 2 points with random weights inside a random window 0.01-0.2 wide."""

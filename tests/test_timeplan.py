@@ -14,9 +14,11 @@ from adtplan import (
     DegradationModel,
     GridSpec,
     InfeasibleDesignError,
+    OptimalityCertificate,
     OptimizerConfig,
     PowerBasis,
     ValidationError,
+    VarianceFunction,
     c_criterion_time,
     efficiency,
     kkt_check,
@@ -27,6 +29,7 @@ from adtplan import (
     round_to_exact,
     weighted_f2,
 )
+from adtplan.criteria import _christoffel
 from adtplan.timeplan import design_sensitivity
 from conftest import T_MEDIAN, cubic_model, quadratic_model
 from oracles import best_exact_rounding, elfving_lp_oracle, scan_draws, two_point_extrapolation_design
@@ -35,6 +38,29 @@ TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
     weights=(1 / 6,) * 6,
 )
+
+
+def _scored_plan(
+    model: DegradationModel, J: int, k: int, t_star: float, destructive: bool = False
+) -> tuple[ApproximateDesign, OptimalityCertificate, float, float]:
+    """The returned plan and certificate, and the criteria of its weights and of the engine's raw weights.
+
+    Both criteria are f2(t*)' M^- f2(t*) by criteria._christoffel on the full
+    grid, weighted by 1/sigma^2(t) on the destructive front.
+    """
+    grid = GridSpec(J=J, k=k)
+    pts = grid.points()
+    if destructive:
+        design, cert = numeric_destructive_time_design(model, t_star, grid)
+        vectors, var = weighted_f2(pts, model), VarianceFunction(model).sigma2(pts)
+    else:
+        design, cert = optimize_time_plan(grid, model, t_star)
+        vectors, var = model.time_basis.evaluate_many(pts) / model.sigma_eps, np.full(pts.size, model.sigma_eps**2)
+    w, _ = optimize_capped_weights(vectors, model.time_basis.evaluate(t_star), grid.cap)
+    ts, ws = design.as_arrays()
+    q = np.zeros(pts.size)
+    q[np.searchsorted(pts, ts)] = ws
+    return design, cert, _christoffel(pts, q / var, t_star, model.p2), _christoffel(pts, w / var, t_star, model.p2)
 
 
 def _criterion(vectors: np.ndarray, c: np.ndarray, w: np.ndarray) -> float:
@@ -364,14 +390,36 @@ class TestExchangeEngine:
         # t* just above a grid point leaves dust (about 1e-8) beside points
         # near the cap; it once went missing and the design raised "weights
         # must sum to 1".  J = None is numeric_destructive_time_design's grid.
-        if J is None:
-            design, cert = numeric_destructive_time_design(table1, t_star)
-        else:
-            design, cert = optimize_time_plan(GridSpec(J=J, k=k), table1, t_star)
+        design, cert, returned, engine = _scored_plan(table1, J or 400, k, t_star, destructive=J is None)
         assert cert.certified
         assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
-        assert min(design.weights) > cert.tol
         assert max(design.weights) <= 1.0 / k
+        if k == 1:
+            # The simplex's weight of about 1e-8 on t = 0 identifies f2(t*):
+            # cutting it once left the singular one-point design {1}.
+            assert returned == pytest.approx(engine, rel=1e-12)
+        else:
+            assert min(design.weights) > cert.tol
+
+    @given(
+        degree=st.integers(1, 3),
+        J=st.integers(8, 200),
+        k_slot=st.floats(0.0, 1.0),
+        front=st.sampled_from(["capped", "cap 1", "destructive"]),
+        i_slot=st.floats(0.0, 1.0),
+        offset=st.sampled_from([-1e-8, 0.0, 1e-8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_returned_plans_score_as_their_weights(
+        self, table1: DegradationModel, degree: int, J: int, k_slot: float, front: str, i_slot: float, offset: float
+    ) -> None:
+        # t* on a grid point or 1e-8 off it, where the raw weights carry
+        # dust: the weight cut keeps every point the target needs.
+        model = {1: table1, 2: quadratic_model(), 3: cubic_model()}[degree]
+        k = min(degree + 1 + int(k_slot * 48), J + 1) if front == "capped" else 1
+        t_star = max(round(i_slot * J), 1) / J + offset
+        _, _, returned, engine = _scored_plan(model, J, k, t_star, destructive=front == "destructive")
+        assert returned == pytest.approx(engine, rel=1e-12)
 
     @pytest.mark.parametrize(
         "basis, J, k, t_star, iterations, max_violation, support, free, factorizations", _PINNED_PLANS
@@ -579,6 +627,15 @@ class TestRoundToExact:
             if ratio > 1.003 or (partial <= 2 and exact.points != best.points):
                 misses.append((degree, J, k, t_star, partial, ratio))
         assert misses == []
+
+    def test_no_free_slot_drops_the_partial_mass(self, table1: DegradationModel) -> None:
+        # Four points within the certificate's tolerance of the cap 1/4 fill
+        # every slot; the partial point's 2e-7 is dropped unscored.
+        near_cap = 0.25 - 5e-8
+        design = ApproximateDesign(points=(0.0, 0.5, 0.6, 0.95, 1.0), weights=(near_cap,) * 2 + (2e-7,) + (near_cap,) * 2)
+        exact = round_to_exact(design, 4, table1, T_MEDIAN)
+        assert exact.points == (0.0, 0.5, 0.95, 1.0)
+        assert exact.weights == (0.25,) * 4
 
     def test_k_too_small_rejected(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
