@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _christoffel, stress_extrapolation_factor
-from .errors import DegenerateVarianceError, OutOfRegimeError, ValidationError
+from .errors import OutOfRegimeError, ValidationError
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel
 from .timeplan import GridSpec, OptimalityCertificate, OptimizerConfig, optimize_capped_weights, support_design
@@ -44,27 +44,16 @@ __all__ = [
 class VarianceFunction:
     """Single-observation variance sigma^2(t) = f2(t)' Sigma_gamma f2(t) + sigma_eps^2.
 
-    Positivity on [0, 1] is checked at construction; for the affine basis the
-    quadratic is minimized in closed form, otherwise on a fine grid.  t may be
-    an array of times, as in sigma_u2.
+    sigma^2(t) >= sigma_eps^2 > 0 needs no check: sigma_u2 clips at 0 and
+    ErrorSpec rejects a sigma_eps whose square is not a finite normal float.
+    The model must have a scalar error level.  t may be an array of times,
+    as in sigma_u2.
     """
 
     model: DegradationModel
 
     def __post_init__(self) -> None:
-        m = self.model
-        _ = m.sigma_eps  # destructive planning needs a scalar error level
-        if m.time_basis.is_affine:
-            sg = m.sigma_gamma_matrix()
-            ts = [0.0, 1.0]
-            if sg[1, 1] > 0.0:
-                t_min = -sg[0, 1] / sg[1, 1]
-                if 0.0 < t_min < 1.0:
-                    ts.append(t_min)
-        else:
-            ts = np.linspace(0.0, 1.0, 513)
-        if self.sigma2(np.asarray(ts)).min() <= 0.0:
-            raise DegenerateVarianceError("variance function is not positive on [0,1]")
+        _ = self.model.sigma_eps  # raises ConfigurationError for a full error covariance
 
     def sigma2(self, t: float | np.ndarray) -> float | np.ndarray:
         return sigma_u2(t, self.model) + self.model.sigma_eps**2
@@ -97,9 +86,6 @@ class ProductDesign:
 def weighted_f2(t: float | np.ndarray, model: DegradationModel) -> np.ndarray:
     """Weighted marginal regression function f2(t)/sigma(t); one row per time for an array."""
     s2 = sigma_u2(t, model) + model.sigma_eps**2
-    if np.any(s2 <= 0.0):
-        t_bad = np.ravel(t)[np.argmax(np.ravel(s2) <= 0.0)]
-        raise DegenerateVarianceError(f"sigma({t_bad}) = 0; weighted basis undefined")
     if np.ndim(t) == 0:
         return model.time_basis.evaluate(t) / math.sqrt(s2)
     return model.time_basis.evaluate_many(t) / np.sqrt(s2)[:, None]

@@ -16,6 +16,7 @@ container and per-unit covariance assembly; everything downstream
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,8 @@ class ErrorSpec:
         if (self.sigma_eps is None) == (self.full is None):
             raise ValidationError("ErrorSpec needs exactly one of sigma_eps or full")
         if self.sigma_eps is not None:
-            if not (self.sigma_eps > 0.0) or not math.isfinite(self.sigma_eps):
+            # sigma_eps^2 bounds every variance sigma^2(t) below, so it must be a finite normal float too.
+            if not (self.sigma_eps > 0.0 and sys.float_info.min <= self.sigma_eps * self.sigma_eps < math.inf):
                 raise ValidationError(f"sigma_eps must be positive and finite, got {self.sigma_eps}")
         else:
             mat = np.asarray(self.full, dtype=float)

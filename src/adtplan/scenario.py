@@ -18,11 +18,13 @@ Schema (dotted paths as reported in validation errors):
 
 Parsing is not fail-fast: every detectable problem is collected and raised
 in one ScenarioValidationError, each message prefixed with the field path.
+A required field set to null is reported as missing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import yaml
 
@@ -33,18 +35,9 @@ from .timeplan import GridSpec
 
 __all__ = ["OutputSpec", "Scenario", "parse_scenario", "serialize_scenario", "load_scenario"]
 
-_MODEL_KEYS = (
-    "stress_basis",
-    "time_basis",
-    "beta",
-    "sigma1",
-    "sigma2",
-    "rho",
-    "sigma_eps",
-    "x_u",
-    "y0",
-)
 _SCALAR_MODEL_KEYS = ("sigma1", "sigma2", "rho", "sigma_eps", "x_u", "y0")
+_MODEL_KEYS = ("stress_basis", "time_basis", "beta", *_SCALAR_MODEL_KEYS)
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -69,178 +62,121 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(section: dict, key: str, path: str, errors: list[str]) -> float | None:
-    if key not in section:
-        errors.append(f"{path}.{key}: required field is missing")
-        return None
-    v = section[key]
-    if not _is_number(v):
-        errors.append(f"{path}.{key}: expected a number, got {v!r}")
-        return None
-    return float(v)
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _basis(section: dict, key: str, errors: list[str]) -> PowerBasis | None:
-    if key not in section:
-        errors.append(f"model.{key}: required field is missing")
-        return None
-    v = section[key]
-    if v == "affine":
-        return PowerBasis(1)
-    if isinstance(v, dict) and set(v) == {"degree"}:
-        d = v["degree"]
-        if isinstance(d, int) and not isinstance(d, bool) and d >= 1:
-            return PowerBasis(d)
-        errors.append(f"model.{key}.degree: expected a positive integer, got {d!r}")
-        return None
-    errors.append(f"model.{key}: expected 'affine' or {{degree: n}}, got {v!r}")
+def _section(doc: dict, name: str, keys: tuple[str, ...], errors: list[str], required: bool = False) -> dict | None:
+    """doc[name] if it is a mapping, its unknown fields reported; else None, reported unless optional and absent."""
+    raw = doc.get(name)
+    if raw is None:
+        if required:
+            errors.append(f"{name}: required section is missing")
+    elif not isinstance(raw, dict):
+        errors.append(f"{name}: expected a mapping, got {type(raw).__name__}")
+    else:
+        errors.extend(f"{name}.{key}: unknown field" for key in raw if key not in keys)
+        return raw
     return None
 
 
-def _parse_model(doc: dict, errors: list[str]) -> DegradationModel | None:
-    raw = doc.get("model")
-    if raw is None:
-        errors.append("model: required section is missing")
-        return None
-    if not isinstance(raw, dict):
-        errors.append(f"model: expected a mapping, got {type(raw).__name__}")
-        return None
-    for key in raw:
-        if key not in _MODEL_KEYS:
-            errors.append(f"model.{key}: unknown field")
+def _field(
+    section: dict,
+    key: str,
+    path: str,
+    errors: list[str],
+    expected: str = "",
+    ok: Callable[[object], bool] | None = None,
+    default: object = _REQUIRED,
+) -> object:
+    """section[key], or default when absent; None, reported, when required and absent or null, or when not ok."""
+    if key not in section and default is not _REQUIRED:
+        return default
+    v = section.get(key)
+    if v is None and default is _REQUIRED:
+        errors.append(f"{path}.{key}: required field is missing")
+    elif ok is not None and not ok(v):
+        errors.append(f"{path}.{key}: expected {expected}, got {v!r}")
+    else:
+        return v
+    return None
 
+
+def _number(section: dict, key: str, path: str, errors: list[str]) -> float | None:
+    v = _field(section, key, path, errors, "a number", _is_number)
+    return None if v is None else float(v)
+
+
+def _basis(section: dict, key: str, errors: list[str]) -> PowerBasis | None:
+    v = _field(
+        section, key, "model", errors, "'affine' or {degree: n}",
+        lambda v: v == "affine" or isinstance(v, dict) and set(v) == {"degree"},
+    )
+    if v == "affine":
+        return PowerBasis(1)
+    if v is None:
+        return None
+    d = _field(v, "degree", f"model.{key}", errors, "a positive integer", lambda d: _is_int(d) and d >= 1)
+    return None if d is None else PowerBasis(d)
+
+
+def _read_model(raw: dict, errors: list[str]) -> Callable[[], DegradationModel]:
     stress = _basis(raw, "stress_basis", errors)
     time = _basis(raw, "time_basis", errors)
-    scalars = {k: _number(raw, k, "model", errors) for k in _SCALAR_MODEL_KEYS}
-
-    beta = raw.get("beta")
-    if beta is None:
-        errors.append("model.beta: required field is missing")
-    elif not (isinstance(beta, list) and beta and all(_is_number(b) for b in beta)):
-        errors.append(f"model.beta: expected a non-empty list of numbers, got {beta!r}")
-        beta = None
-
-    bad_range = False
-    rho = scalars["rho"]
-    if rho is not None and not (-1.0 <= rho <= 1.0):
-        errors.append(f"model.rho: sigma_gamma.rho out of [-1,1], got {rho}")
-        bad_range = True
+    s = {k: _number(raw, k, "model", errors) for k in _SCALAR_MODEL_KEYS}
+    beta = _field(
+        raw, "beta", "model", errors, "a non-empty list of numbers",
+        lambda b: isinstance(b, list) and b and all(map(_is_number, b)),
+    )
+    if s["rho"] is not None and not (-1.0 <= s["rho"] <= 1.0):
+        errors.append(f"model.rho: sigma_gamma.rho out of [-1,1], got {s['rho']}")
     for k in ("sigma1", "sigma2", "sigma_eps"):
-        v = scalars[k]
-        if v is not None and v < 0.0:
-            errors.append(f"model.{k}: standard deviation must be nonnegative, got {v}")
-            bad_range = True
-
-    if stress is not None and time is not None and beta is not None:
-        if len(beta) != stress.dim * time.dim:
-            errors.append(
-                f"model.beta: expected {stress.dim * time.dim} coefficients for the "
-                f"given bases, got {len(beta)}"
-            )
-            beta = None
-
-    if (
-        bad_range
-        or stress is None
-        or time is None
-        or beta is None
-        or any(v is None for v in scalars.values())
-    ):
-        return None
-    try:
-        return DegradationModel(
-            stress_basis=stress,
-            time_basis=time,
-            beta=tuple(float(b) for b in beta),
-            sigma_gamma=sigma_gamma_from_sd_corr(scalars["sigma1"], scalars["sigma2"], rho),
-            error_spec=ErrorSpec(sigma_eps=scalars["sigma_eps"]),
-            x_u=scalars["x_u"],
-            y0=scalars["y0"],
-        )
-    except ValidationError as e:
-        errors.append(f"model: {e}")
-        return None
+        if s[k] is not None and s[k] < 0.0:
+            errors.append(f"model.{k}: standard deviation must be nonnegative, got {s[k]}")
+    if stress and time and beta and len(beta) != stress.dim * time.dim:
+        errors.append(f"model.beta: expected {stress.dim * time.dim} coefficients for the given bases, got {len(beta)}")
+    return lambda: DegradationModel(
+        stress_basis=stress,
+        time_basis=time,
+        beta=tuple(map(float, beta)),
+        sigma_gamma=sigma_gamma_from_sd_corr(s["sigma1"], s["sigma2"], s["rho"]),
+        error_spec=ErrorSpec(sigma_eps=s["sigma_eps"]),
+        x_u=s["x_u"],
+        y0=s["y0"],
+    )
 
 
-def _parse_grid(doc: dict, errors: list[str]) -> GridSpec | None:
-    raw = doc.get("grid")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append(f"grid: expected a mapping, got {type(raw).__name__}")
-        return None
-    for key in raw:
-        if key not in ("J", "k"):
-            errors.append(f"grid.{key}: unknown field")
-    ok = True
-    for key in ("J", "k"):
-        if key not in raw:
-            errors.append(f"grid.{key}: required field is missing")
-            ok = False
-        elif not isinstance(raw[key], int) or isinstance(raw[key], bool):
-            errors.append(f"grid.{key}: expected an integer, got {raw[key]!r}")
-            ok = False
-    if not ok:
-        return None
-    try:
-        return GridSpec(J=raw["J"], k=raw["k"])
-    except ValidationError as e:
-        errors.append(f"grid: {e}")
-        return None
+def _read_grid(raw: dict, errors: list[str]) -> Callable[[], GridSpec]:
+    J, k = (_field(raw, key, "grid", errors, "an integer", _is_int) for key in ("J", "k"))
+    return lambda: GridSpec(J=J, k=k)
 
 
-def _parse_sweep(doc: dict, errors: list[str]) -> SweepSpec | None:
-    raw = doc.get("sweep")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append(f"sweep: expected a mapping, got {type(raw).__name__}")
-        return None
-    for key in raw:
-        if key not in ("variable", "lo", "hi", "n", "candidates"):
-            errors.append(f"sweep.{key}: unknown field")
-    variable = raw.get("variable")
-    if variable is None:
-        errors.append("sweep.variable: required field is missing")
-    lo = _number(raw, "lo", "sweep", errors)
-    hi = _number(raw, "hi", "sweep", errors)
-    n = raw.get("n", 200)
-    if not isinstance(n, int) or isinstance(n, bool):
-        errors.append(f"sweep.n: expected an integer, got {n!r}")
-        n = None
-    candidates = raw.get("candidates", list(ALL_CANDIDATES))
-    if not (isinstance(candidates, list) and all(isinstance(c, str) for c in candidates)):
-        errors.append(f"sweep.candidates: expected a list of names, got {candidates!r}")
-        candidates = None
-    if variable is None or lo is None or hi is None or n is None or candidates is None:
-        return None
-    try:
-        return SweepSpec(variable=variable, lo=lo, hi=hi, n_points=n, candidates=tuple(candidates))
-    except ValidationError as e:
-        errors.append(f"sweep: {e}")
-        return None
+def _read_sweep(raw: dict, errors: list[str]) -> Callable[[], SweepSpec]:
+    variable = _field(raw, "variable", "sweep", errors)
+    lo, hi = _number(raw, "lo", "sweep", errors), _number(raw, "hi", "sweep", errors)
+    n = _field(raw, "n", "sweep", errors, "an integer", _is_int, default=200)
+    candidates = _field(
+        raw, "candidates", "sweep", errors, "a list of names",
+        lambda c: isinstance(c, list) and all(isinstance(name, str) for name in c), default=list(ALL_CANDIDATES),
+    )
+    return lambda: SweepSpec(variable=variable, lo=lo, hi=hi, n_points=n, candidates=tuple(candidates))
 
 
-def _parse_output(doc: dict, errors: list[str]) -> OutputSpec | None:
-    raw = doc.get("output")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append(f"output: expected a mapping, got {type(raw).__name__}")
-        return None
-    for key in raw:
-        if key not in ("format", "path"):
-            errors.append(f"output.{key}: unknown field")
-    fmt = raw.get("format", "csv")
-    path = raw.get("path")
-    if path is not None and not isinstance(path, str):
-        errors.append(f"output.path: expected a string, got {path!r}")
-        return None
-    try:
-        return OutputSpec(format=fmt, path=path)
-    except ValidationError as e:
-        errors.append(f"output: {e}")
-        return None
+def _read_output(raw: dict, errors: list[str]) -> Callable[[], OutputSpec]:
+    fmt = _field(raw, "format", "output", errors, default="csv")
+    path = _field(raw, "path", "output", errors, "a string", lambda p: p is None or isinstance(p, str), default=None)
+    return lambda: OutputSpec(format=fmt, path=path)
+
+
+# Each section's fields and reader, in the order their errors are reported.  A
+# reader checks the fields, reporting into errors, and returns the constructor
+# call; parse_scenario makes it only when the reader reported nothing.
+_SECTIONS = {
+    "model": (_MODEL_KEYS, _read_model),
+    "grid": (("J", "k"), _read_grid),
+    "sweep": (("variable", "lo", "hi", "n", "candidates"), _read_sweep),
+    "output": (("format", "path"), _read_output),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -258,19 +194,22 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioValidationError([f"scenario: expected a mapping, got {type(doc).__name__}"])
 
-    errors: list[str] = []
-    for key in doc:
-        if key not in ("model", "grid", "sweep", "output"):
-            errors.append(f"{key}: unknown section")
-    model = _parse_model(doc, errors)
-    grid = _parse_grid(doc, errors)
-    sweep = _parse_sweep(doc, errors)
-    output = _parse_output(doc, errors)
-    if errors or model is None:
-        if not errors:
-            errors.append("model: could not be constructed")
+    errors = [f"{key}: unknown section" for key in doc if key not in _SECTIONS]
+    parts = {}
+    for name, (keys, read) in _SECTIONS.items():
+        raw = _section(doc, name, keys, errors, required=name == "model")
+        if raw is None:
+            continue
+        n_errors = len(errors)
+        make = read(raw, errors)
+        if len(errors) == n_errors:
+            try:
+                parts[name] = make()
+            except ValidationError as e:
+                errors.append(f"{name}: {e}")
+    if errors:
         raise ScenarioValidationError(errors)
-    return Scenario(model=model, grid=grid, sweep=sweep, output=output)
+    return Scenario(**parts)
 
 
 def _basis_doc(basis: PowerBasis) -> object:

@@ -521,18 +521,20 @@ def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) ->
     """Design on the grid points whose weight exceeds tol, the certificate's weight tolerance.
 
     Each weight cut off goes to the nearest kept point with room for it
-    (w + cut <= cap): its regression vector is the closest, so the
-    sensitivities move least, and no weight passes the cap.  A cut beside
-    points at exactly the cap, with no room anywhere, is dropped.  Cap 1
-    cuts nothing: Elfving's simplex sets its degenerate zeros exactly, so
-    every small weight it leaves is needed to identify f2(t*).
+    (w + cut <= cap to a relative 1e-12, then clipped at the cap): its
+    regression vector is the closest, so the sensitivities move least, and
+    no weight passes the cap.  A cut beside points at exactly the cap, with
+    no room anywhere, is dropped.  Cap 1 cuts nothing: Elfving's simplex
+    sets its degenerate zeros exactly, so every small weight it leaves is
+    needed to identify f2(t*).
     """
     w, tol = w.copy(), tol if cap < 1.0 else 0.0
     kept = np.flatnonzero(w > tol)
     for j in np.flatnonzero((w > 0.0) & (w <= tol)):
-        room = kept[w[kept] + w[j] <= cap]
+        room = kept[w[kept] + w[j] <= cap * (1.0 + 1e-12)]
         if room.size:
-            w[room[np.argmin(np.abs(room - j))]] += w[j]
+            i = room[np.argmin(np.abs(room - j))]
+            w[i] = min(w[i] + w[j], cap)
         w[j] = 0.0
     return ApproximateDesign(points=tuple(points[w > 0.0].tolist()), weights=tuple(w[w > 0.0].tolist()))
 
@@ -571,11 +573,21 @@ def kkt_check(
     """First-order optimality certificate of a grid-supported design.
 
     Violations are reported in the certificate, never raised: a failed check
-    is a legitimate answer about a suboptimal design.
+    is a legitimate answer about a suboptimal design.  At cap 1 the
+    one-point plan at a grid point t* has singular information; its
+    phi_j = (v_j' y)^2 comes from the dual y of Elfving's simplex, as in the
+    cap-1 engine (Pukelsheim 1993, section 2.4).  A dual optimum prices
+    every optimal plan, and this one is optimal: c = sigma_eps v(t*), and
+    |v(t*)' y| <= 1 caps the dual value c' y at the plan's sigma_eps.
     """
     pts = grid.points()
     w = _design_on_grid(design, pts)
-    phi = design_sensitivity(*_time_problem(model, pts, t_star), w)
+    vectors, c = _time_problem(model, pts, t_star)
+    if grid.cap >= 1.0 and pts[w > 0.0].tolist() == [t_star]:
+        _, g, _ = _elfving_pivots(_CappedCProblem(vectors, c, 1.0), OptimizerConfig().max_iters, None)
+        phi = g * g
+    else:
+        phi = design_sensitivity(vectors, c, w)
     return _certificate(w, phi, grid.cap, iterations=0)
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from adtplan import Scenario, eval_delta, median_failure_time
-from adtplan.cli import cmd_quantile, main
+from adtplan import Scenario, ValidationError, eval_delta, median_failure_time
+from adtplan.cli import _read_design_csv, cmd_quantile, main
 from conftest import quadratic_model
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "example1.scenario"
@@ -241,6 +241,29 @@ class TestCheck:
         )
         assert main(["check", "--scenario", str(SCENARIO), "--design", str(design)]) == 0
         capsys.readouterr()
+
+    def test_checks_the_cap_one_plan_it_wrote(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        # The one-point plan at t* = 1 has singular information; check once
+        # exited 2 on the plan optimize-time had just certified.
+        scn, plan = tmp_path / "k1.scenario", tmp_path / "plan.csv"
+        scn.write_text(MODEL_ONLY + "grid:\n  J: 20\n  k: 1\n")
+        assert main(["optimize-time", "--scenario", str(scn), "--t-star", "1.0", "--out", str(plan)]) == 0
+        assert lines_as_dict(capsys.readouterr().out)["certified"] == "true"
+        code = main(["check", "--scenario", str(scn), "--design", str(plan), "--t-star", "1.0"])
+        assert code == 0
+        report = lines_as_dict(capsys.readouterr().out)
+        assert report["kkt_pass"] == "true"
+        assert float(report["kkt_violation"]) == 0.0
+        assert float(report["efficiency"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message", [("t,weight\n", "has no rows"), ("t,weight\n0.0,0.5\n1.0,0.4\n", "sum to 0.9")]
+    )
+    def test_design_csv_rejects(self, tmp_path: Path, text: str, message: str) -> None:
+        design = tmp_path / "bad.csv"
+        design.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            _read_design_csv(str(design))
 
     def test_missing_column_exits_two(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from scipy.special import ndtr, ndtri
 from adtplan import (
     DegenerateVarianceError,
     DegradationModel,
+    ErrorSpec,
     IndeterminateMarginError,
     NonMonotoneMarginError,
     NoPositiveMedianError,
+    PowerBasis,
     ValidationError,
     failure_cdf,
     h,
@@ -26,7 +29,7 @@ from adtplan import (
     sigma_u,
     sigma_u2,
 )
-from adtplan.failure_time import _H_TOL, _margin_function
+from adtplan.failure_time import _BRACKET_LIMIT, _H_TOL, _margin_function
 from conftest import T_MEDIAN, cubic_model, quadratic_model, random_affine_model
 
 
@@ -41,6 +44,19 @@ def _zero_start_margin_model() -> DegradationModel:
     """Path starting exactly at the threshold with zero start variance."""
     return DegradationModel.affine(
         beta=(2.0, 1.0, 1.0, 0.0), sigma1=0.0, sigma2=0.1, rho=0.0, sigma_eps=0.05, x_u=-0.5, y0=1.5
+    )
+
+
+def _random_intercept_model(d1: float, d2: float, s1: float, y0: float) -> DegradationModel:
+    """Affine model with delta = (d1, d2) at x_u = 0 and a random intercept of sd s1 only."""
+    return DegradationModel(
+        stress_basis=PowerBasis(1),
+        time_basis=PowerBasis(1),
+        beta=(d1, d2, 0.0, 0.0),
+        sigma_gamma=((s1 * s1, 0.0), (0.0, 0.0)),
+        error_spec=ErrorSpec(sigma_eps=0.05),
+        x_u=0.0,
+        y0=y0,
     )
 
 
@@ -206,6 +222,46 @@ class TestQuantile:
         )
         res = quantile(1e-6, model)
         assert not res.exists
+
+    @pytest.mark.parametrize("d2", [0.0, -0.1])
+    def test_random_intercept_without_upward_drift_does_not_exist(self, d2: float) -> None:
+        # sigma2 = 0 makes h a line; with delta_2 <= 0 it never rises to z = 0 from h(0) = -5.
+        res = quantile(0.5, _random_intercept_model(d1=1.0, d2=d2, s1=0.2, y0=2.0))
+        assert not res.exists
+        assert math.isnan(res.t_alpha) and res.bounds_used == (0.0, 0.0)
+
+    def test_random_intercept_root_at_zero_does_not_exist(self) -> None:
+        # Where z is just above h(0), the closed form's numerator y0 - d1 + z s1
+        # is 0 to rounding; when it comes out <= 0 the quantile is reported
+        # missing, never returned as a time <= 0.  Offsets of a few ulps in y0
+        # step across h(0) = z and reach that branch.
+        alpha, d1, s1 = 0.9330989523333431, 1.8853455059464221, 1.6254902802229572
+        z = NormalDist().inv_cdf(alpha)
+        y0 = d1 - z * s1
+        missing = 0
+        for k in range(-8, 9):
+            model = _random_intercept_model(d1=d1, d2=0.5, s1=s1, y0=y0 + k * math.ulp(y0))
+            res = quantile(alpha, model)
+            assert res.t_alpha > 0.0 if res.exists else math.isnan(res.t_alpha)
+            missing += z > _margin_function(model)(0.0) and not res.exists
+        assert missing > 0
+
+    def test_root_beyond_the_bracket_limit_does_not_exist(self) -> None:
+        # z is 1e-9 relative below the terminal level delta2/sigma2, so the
+        # root lies near t = 8e9 and the doubling bracket passes _BRACKET_LIMIT.
+        z = NormalDist().inv_cdf(0.975)
+        model = DegradationModel.affine(
+            beta=(2.4, 0.1 * z * (1 + 1e-9), 0.0, 0.0),
+            sigma1=0.1,
+            sigma2=0.1,
+            rho=0.0,
+            sigma_eps=0.05,
+            x_u=-0.1,
+            y0=3.9,
+        )
+        res = quantile(0.975, model)
+        assert not res.exists and math.isnan(res.t_alpha)
+        assert res.bounds_used == (0.0, 2.0**20) and 2.0**19 <= _BRACKET_LIMIT < 2.0**20
 
     def test_round_trip_through_cdf(self, table1: DegradationModel) -> None:
         for t0 in (0.4, 1.0, 1.6, 2.5, 4.0):

@@ -59,6 +59,15 @@ class TestErrorSpec:
         with pytest.raises(ValidationError):
             ErrorSpec(sigma_eps=0.0)
 
+    @pytest.mark.parametrize("sigma_eps", [1e-200, 1.4e-154, 1.35e154, 1e200])
+    def test_sigma_eps_square_must_be_a_normal_float(self, sigma_eps: float) -> None:
+        # sigma_eps^2 bounds every destructive variance sigma^2(t) below; a
+        # square that underflows or overflows would break that bound.
+        with pytest.raises(ValidationError, match="sigma_eps must be positive and finite"):
+            ErrorSpec(sigma_eps=sigma_eps)
+        assert ErrorSpec(sigma_eps=1.5e-154).sigma_eps == 1.5e-154
+        assert ErrorSpec(sigma_eps=1.3e154).sigma_eps == 1.3e154
+
     def test_full_must_be_spd(self) -> None:
         with pytest.raises(ValidationError):
             ErrorSpec(full=((1.0, 2.0), (2.0, 1.0)))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adtplan import (
@@ -384,12 +384,21 @@ class TestExchangeEngine:
         assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "J, k, t_star", [(None, 1, 1 + 1e-8), (400, 1, 1 + 1e-8), (17, 5, 2 / 17 + 1e-8), (14, 10, 0.50000001)]
+        "J, k, t_star",
+        [
+            (None, 1, 1 + 1e-8),
+            (400, 1, 1 + 1e-8),
+            (17, 5, 2 / 17 + 1e-8),
+            (14, 10, 0.50000001),
+            (94, 31, 57 / 94 - 1e-8),
+        ],
     )
     def test_cut_weight_keeps_the_mass(self, table1: DegradationModel, J: int | None, k: int, t_star: float) -> None:
-        # t* just above a grid point leaves dust (about 1e-8) beside points
+        # t* just off a grid point leaves dust (about 1e-8) beside points
         # near the cap; it once went missing and the design raised "weights
         # must sum to 1".  J = None is numeric_destructive_time_design's grid.
+        # At (94, 31) the only point with room had 1.4e-16 less room than
+        # the cut, so the cut once went missing too.
         design, cert, returned, engine = _scored_plan(table1, J or 400, k, t_star, destructive=J is None)
         assert cert.certified
         assert math.fsum(design.weights) == pytest.approx(1.0, abs=1e-12)
@@ -410,6 +419,7 @@ class TestExchangeEngine:
         offset=st.sampled_from([-1e-8, 0.0, 1e-8]),
     )
     @settings(max_examples=100, deadline=None)
+    @example(degree=1, J=94, k_slot=0.609375, front="capped", i_slot=0.609375, offset=-1e-8)
     def test_returned_plans_score_as_their_weights(
         self, table1: DegradationModel, degree: int, J: int, k_slot: float, front: str, i_slot: float, offset: float
     ) -> None:
@@ -565,6 +575,24 @@ class TestKktCheck:
             kkt_check(off, grid, table1, T_MEDIAN)
 
 
+    @pytest.mark.parametrize("degree, t_star", [(1, 1.0), (2, 0.25), (2, 0.5), (3, 0.25), (3, 0.5)])
+    def test_cap_one_point_plan_certifies(self, table1: DegradationModel, degree: int, t_star: float) -> None:
+        # At k = 1 and a grid point t* <= 1 the engine returns the one-point
+        # plan at t*, whose information is singular: its check once raised.
+        model = {1: table1, 2: quadratic_model(), 3: cubic_model()}[degree]
+        grid = GridSpec(J=20, k=1)
+        design, cert = optimize_time_plan(grid, model, t_star)
+        assert design.points == (t_star,) and cert.certified
+        check = kkt_check(design, grid, model, t_star)
+        assert check.certified
+        assert check.saturated_set == (round(t_star * 20),)
+        assert check.sensitivity[round(t_star * 20)] == pytest.approx(1.0, abs=1e-12)
+        assert max(check.sensitivity) <= 1.0 + 1e-12
+        # A one-point plan elsewhere does not identify f2(t*).
+        with pytest.raises(InfeasibleDesignError):
+            kkt_check(ApproximateDesign(points=(0.1,), weights=(1.0,)), grid, model, t_star)
+
+
 class TestRoundToExact:
     def test_vertex_design_is_fixed_point(self, table1: DegradationModel) -> None:
         design, _ = optimize_time_plan(GridSpec(J=20, k=6), table1, T_MEDIAN)
@@ -640,3 +668,26 @@ class TestRoundToExact:
     def test_k_too_small_rejected(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
             round_to_exact(TAU0, 1, table1, T_MEDIAN)
+
+    def test_k_below_one_rejected(self, table1: DegradationModel) -> None:
+        with pytest.raises(ValidationError, match="k must be a positive count, got 0"):
+            round_to_exact(TAU0, 0, table1, T_MEDIAN)
+
+    def test_weight_above_the_cap_rejected(self, table1: DegradationModel) -> None:
+        with pytest.raises(InfeasibleDesignError, match="exceeds the cap 1/6"):
+            round_to_exact(ApproximateDesign(points=(0.0, 1.0), weights=(0.5, 0.5)), 6, table1, T_MEDIAN)
+
+    def test_more_than_k_saturated_rejected(self, table1: DegradationModel) -> None:
+        # 1/4001 lies within the certificate's tolerance of the cap 1/4000.
+        n = 4001
+        design = ApproximateDesign(points=tuple(np.linspace(0.0, 1.0, n).tolist()), weights=(1.0 / n,) * n)
+        with pytest.raises(InfeasibleDesignError, match="more than 4000 points already saturated"):
+            round_to_exact(design, 4000, table1, T_MEDIAN)
+
+    def test_fewer_candidates_than_slots_rejected(self, table1: DegradationModel) -> None:
+        # 1999 points at the cap 1/2000 leave one slot, and the free mass
+        # sits on 5000 points of 1e-7, all at or below the tolerance.
+        points = tuple(np.linspace(0.0, 1.0, 6999).tolist())
+        design = ApproximateDesign(points=points, weights=(5e-4,) * 1999 + (1e-7,) * 5000)
+        with pytest.raises(InfeasibleDesignError, match="only 1999 candidate points for 2000 slots"):
+            round_to_exact(design, 2000, table1, T_MEDIAN)
