@@ -144,7 +144,7 @@ def _read_design_csv(path: str) -> ApproximateDesign:
         raise ValidationError(f"{path}: design CSV has no rows")
     rows.sort()
     total = math.fsum(w for _, w in rows)
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise ValidationError(f"{path}: design weights sum to {total!r}, not 1")
     return ApproximateDesign(
         points=tuple(t for t, _ in rows),

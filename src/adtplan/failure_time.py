@@ -10,13 +10,15 @@ sigma_u^2(t) = f2(t)' Sigma_gamma f2(t) its between-unit variance.  For the
 affine basis mu is a straight line and the median has the closed form
 (y0 - delta_1) / delta_2.  mu_aggregate, sigma_u2, sigma_u and h take a
 float or an array of times; an array gives the bits of one call per time.
+Only quantile needs the normal quantile function; it imports
+statistics.NormalDist at its first call, so the package does not load
+statistics (nor its decimal and fractions).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -154,6 +156,8 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     Levels outside the open window (Phi(h(0)), lim sup Phi(h(t))) have no
     solution and are reported with exists=False instead of an exception.
     """
+    from statistics import NormalDist
+
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
     z = NormalDist().inv_cdf(alpha)

@@ -163,6 +163,15 @@ class DegradationModel:
         mat = np.asarray(self.sigma_gamma, dtype=float)
         if mat.shape != (p2, p2):
             raise ValidationError(f"sigma_gamma has shape {mat.shape}, expected ({p2}, {p2})")
+        x_u, y0 = float(self.x_u), float(self.y0)
+        # NaN fails every comparison below, so non-finite entries are refused first.
+        if not all(map(math.isfinite, beta)):
+            raise ValidationError(f"beta must be finite, got {beta}")
+        if not np.isfinite(mat).all():
+            raise ValidationError(f"sigma_gamma must be finite, got {mat.tolist()}")
+        for name, v in (("x_u", x_u), ("y0", y0)):
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v}")
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise ValidationError("sigma_gamma must be symmetric")
         eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
@@ -170,8 +179,8 @@ class DegradationModel:
             raise ValidationError("sigma_gamma must be non-negative definite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma_gamma", tuple(tuple(float(v) for v in row) for row in mat))
-        object.__setattr__(self, "x_u", float(self.x_u))
-        object.__setattr__(self, "y0", float(self.y0))
+        object.__setattr__(self, "x_u", x_u)
+        object.__setattr__(self, "y0", y0)
 
     @classmethod
     def affine(
@@ -223,8 +232,8 @@ class ApproximateDesign:
     """Probability measure on finitely many points of the standardized region.
 
     Points must be strictly increasing within [0, 1]; weights are
-    non-negative and sum to one (up to 1e-12).  Zero weights are allowed so
-    optimizer iterates over a fixed grid are valid designs too.
+    non-negative and sum to one (up to 1e-12); NaN is neither.  Zero weights
+    are allowed so optimizer iterates over a fixed grid are valid designs too.
     """
 
     points: tuple[float, ...]
@@ -240,7 +249,7 @@ class ApproximateDesign:
             raise ValidationError(f"design points must lie in [0,1], got {pts}")
         if any(map(float.__le__, pts[1:], pts)):
             raise ValidationError("design points must be strictly increasing")
-        if any(map((0.0).__gt__, wts)):
+        if not all(map((0.0).__le__, wts)):
             raise ValidationError(f"weights must be non-negative, got {wts}")
         total = math.fsum(wts)
         if abs(total - 1.0) > 1e-12:

@@ -19,14 +19,15 @@ Schema (dotted paths as reported in validation errors):
 Parsing is not fail-fast: every detectable problem is collected and raised
 in one ScenarioValidationError, each message prefixed with the field path.
 A required field set to null is reported as missing.
+
+PyYAML is imported by parse_scenario and serialize_scenario at their first
+call, not with the package: the library API needs no scenario file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import yaml
 
 from .errors import ScenarioValidationError, ValidationError
 from .model import DegradationModel, ErrorSpec, PowerBasis, sigma_gamma_from_sd_corr
@@ -185,6 +186,8 @@ def parse_scenario(text: str) -> Scenario:
     All problems are accumulated; the raised ScenarioValidationError lists
     every one with its field path.
     """
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
@@ -218,6 +221,8 @@ def _basis_doc(basis: PowerBasis) -> object:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Inverse of parse_scenario up to semantic equality of the round trip."""
+    import yaml
+
     m = scenario.model
     sg = m.sigma_gamma_matrix()
     s1 = float(sg[0, 0]) ** 0.5

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .criteria import _christoffel
-from .errors import InfeasibleDesignError, ValidationError
+from .errors import InfeasibleDesignError, SingularDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
 __all__ = [
@@ -313,10 +313,13 @@ def _ordering_violation(phi: np.ndarray, saturated: np.ndarray, interior: np.nda
     return float(max(*gaps, 0.0))
 
 
-def _certificate(w: np.ndarray, phi: np.ndarray, cap: float, iterations: int) -> OptimalityCertificate:
+def _certificate(
+    w: np.ndarray, phi: np.ndarray, cap: float, iterations: int, excess: float = 0.0
+) -> OptimalityCertificate:
+    """Certificate of the weights w priced by phi; excess, a further violation, joins the ordering's."""
     saturated, interior, zero = _classify(w, cap, _TOL)
     return OptimalityCertificate(
-        max_violation=_ordering_violation(phi, saturated, interior, zero),
+        max_violation=max(_ordering_violation(phi, saturated, interior, zero), excess),
         saturated_set=tuple(np.flatnonzero(saturated).tolist()),
         interior_set=tuple(np.flatnonzero(interior).tolist()),
         zero_set=tuple(np.flatnonzero(zero).tolist()),
@@ -573,22 +576,27 @@ def kkt_check(
     """First-order optimality certificate of a grid-supported design.
 
     Violations are reported in the certificate, never raised: a failed check
-    is a legitimate answer about a suboptimal design.  At cap 1 the
-    one-point plan at a grid point t* has singular information; its
-    phi_j = (v_j' y)^2 comes from the dual y of Elfving's simplex, as in the
-    cap-1 engine (Pukelsheim 1993, section 2.4).  A dual optimum prices
-    every optimal plan, and this one is optimal: c = sigma_eps v(t*), and
-    |v(t*)' y| <= 1 caps the dual value c' y at the plan's sigma_eps.
+    is a legitimate answer about a suboptimal design.  At cap 1 the plan is
+    priced as the cap-1 engine prices its own, phi_j = (v_j' y)^2 from the
+    dual y of Elfving's simplex (Pukelsheim 1993, section 2.4): the plan's
+    own sensitivity needs its information inverted, which is singular or
+    nearly so for optimal plans that put weights near 0 or a single point
+    at t*.  A dual optimum prices every optimal plan alike, so the plan's
+    criterion excess over the simplex optimum, relative and both by
+    criteria._christoffel, counts as a violation too.
     """
     pts = grid.points()
     w = _design_on_grid(design, pts)
     vectors, c = _time_problem(model, pts, t_star)
-    if grid.cap >= 1.0 and pts[w > 0.0].tolist() == [t_star]:
-        _, g, _ = _elfving_pivots(_CappedCProblem(vectors, c, 1.0), OptimizerConfig().max_iters, None)
-        phi = g * g
-    else:
-        phi = design_sensitivity(vectors, c, w)
-    return _certificate(w, phi, grid.cap, iterations=0)
+    if grid.cap < 1.0:
+        return _certificate(w, design_sensitivity(vectors, c, w), grid.cap, iterations=0)
+    u, g, _ = _elfving_pivots(_CappedCProblem(vectors, c, 1.0), OptimizerConfig().max_iters, None)
+    try:
+        score = _christoffel(pts, w, t_star, model.p2)
+    except SingularDesignError:
+        raise InfeasibleDesignError("design information is singular for the target direction") from None
+    excess = score / _christoffel(pts, u, t_star, model.p2) - 1.0
+    return _certificate(w, g * g, grid.cap, iterations=0, excess=excess)
 
 
 def round_to_exact(

@@ -89,6 +89,10 @@ def elfving_brute_force_oracle(model: DegradationModel, t_star: float, grid_n: i
     return ApproximateDesign(points=(float(ts[i]), float(ts[j])), weights=(w_i, 1.0 - w_i))
 
 
+# Right-hand-side scale of the Elfving program; see elfving_lp_oracle.
+_LP_SCALE = 1e3
+
+
 def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray]:
     """Uncapped c-optimal criterion over the rows v_j of vectors, by linear programming.
 
@@ -99,16 +103,24 @@ def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.nda
     criterion and u, whose nonzero entries mark an optimal support.  HiGHS
     runs at feasibility tolerances of 1e-10 instead of its default 1e-7: at
     the default, a t* within 1e-8 of a grid point gave criteria 1e-7 off.
+    Its tolerances are absolute, so the program is solved for _LP_SCALE c
+    and u scaled back: unscaled, t* = 1 + 6.4e-10 on the cubic basis over
+    J = 8 gave a criterion 1.5e-9 below the optimum, (0.048 T_3(2t* - 1))^2.
     """
     V = np.asarray(vectors, dtype=float)
     n = V.shape[0]
     tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     res = linprog(
-        np.ones(2 * n), A_eq=np.hstack([V.T, -V.T]), b_eq=c, bounds=(0, None), method="highs", options=tight
+        np.ones(2 * n),
+        A_eq=np.hstack([V.T, -V.T]),
+        b_eq=_LP_SCALE * np.asarray(c, dtype=float),
+        bounds=(0, None),
+        method="highs",
+        options=tight,
     )
     if not res.success:
         raise SingularDesignError(f"the Elfving program has no solution: {res.message}")
-    return float(res.fun) ** 2, res.x[:n] - res.x[n:]
+    return (float(res.fun) / _LP_SCALE) ** 2, (res.x[:n] - res.x[n:]) / _LP_SCALE
 
 
 def best_exact_rounding(design: ApproximateDesign, k: int, model: DegradationModel, t_star: float) -> ApproximateDesign:

@@ -265,6 +265,14 @@ class TestCheck:
         with pytest.raises(ValidationError, match=message):
             _read_design_csv(str(design))
 
+    def test_nan_weights_exit_two(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        # They once reached kkt_check and failed there as a singular design.
+        design = tmp_path / "nan.csv"
+        design.write_text("t,weight\n0.0,nan\n1.0,nan\n")
+        code = main(["check", "--scenario", str(SCENARIO), "--design", str(design)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {design}: design weights sum to nan, not 1\n"
+
     def test_missing_column_exits_two(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:
@@ -286,6 +294,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "rho" in err
+
+    @pytest.mark.parametrize(
+        "subcommand, edit, message",
+        [
+            ("optimize-destructive", ("x_u: -0.056", "x_u: .nan"), "model: x_u must be finite, got nan"),
+            ("quantile", ("y0: 3.912", "y0: .inf"), "model: y0 must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_model_exits_two(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str], subcommand: str, edit: tuple[str, str], message: str
+    ) -> None:
+        # A NaN x_u once failed later as "t_star = nan <= 1", and an infinite
+        # y0 printed t_median,inf and t_alpha,nan with exit 0.
+        scn = tmp_path / "bad.scenario"
+        scn.write_text(MODEL_ONLY.replace(*edit))
+        assert main([subcommand, "--scenario", str(scn)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_file_exits_two(self, capsys: pytest.CaptureFixture[str]) -> None:
         code = main(["quantile", "--scenario", "/nonexistent/x.scenario"])

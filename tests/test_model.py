@@ -117,6 +117,34 @@ class TestDegradationModel:
                 y0=2.0,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("beta", (2.397, math.nan, 1.629, 0.0696), "beta must be finite"),
+            ("beta", (2.397, 1.018, math.inf, 0.0696), "beta must be finite"),
+            ("sigma_gamma", ((math.inf, 0.0), (0.0, 0.01)), "sigma_gamma must be finite"),
+            ("sigma_gamma", ((math.nan, 0.0), (0.0, 0.01)), "sigma_gamma must be finite"),
+            ("x_u", math.nan, "x_u must be finite, got nan"),
+            ("y0", math.inf, "y0 must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_entries_rejected(
+        self, table1: DegradationModel, field: str, value: object, message: str
+    ) -> None:
+        # NaN fails every comparison, so without this check a NaN x_u or an
+        # infinite y0 reached the planning formulas.
+        fields = dict(
+            stress_basis=AFFINE,
+            time_basis=AFFINE,
+            beta=table1.beta,
+            sigma_gamma=table1.sigma_gamma,
+            error_spec=table1.error_spec,
+            x_u=table1.x_u,
+            y0=table1.y0,
+        )
+        with pytest.raises(ValidationError, match=message):
+            DegradationModel(**{**fields, field: value})
+
     def test_full_error_spec_has_no_scalar_sigma(self) -> None:
         model = DegradationModel(
             stress_basis=AFFINE,
@@ -160,6 +188,11 @@ class TestApproximateDesign:
     def test_no_negative_weights(self) -> None:
         with pytest.raises(ValidationError):
             ApproximateDesign(points=(0.0, 0.5, 1.0), weights=(0.6, -0.2, 0.6))
+
+    def test_nan_weights_rejected(self) -> None:
+        # NaN fails both "< 0" and "sum off by more than 1e-12".
+        with pytest.raises(ValidationError, match="non-negative"):
+            ApproximateDesign(points=(0.0, 1.0), weights=(math.nan, math.nan))
 
     def test_weight_lookup_and_support(self) -> None:
         design = ApproximateDesign(points=(0.0, 0.5, 1.0), weights=(0.25, 0.0, 0.75))

@@ -1,4 +1,4 @@
-"""The runtime needs numpy and PyYAML only; scipy serves the test oracles.
+"""The runtime needs numpy, and PyYAML only to read and write scenarios; scipy serves the test oracles.
 
 The benchmark under bench/ imports and traces adtplan names; they must exist.
 """
@@ -15,12 +15,26 @@ from pathlib import Path
 import adtplan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SCENARIO = BENCH.parent / "scenarios" / "example1.scenario"
 
 
 def test_import_loads_no_scipy() -> None:
     src = os.path.dirname(os.path.dirname(os.path.abspath(adtplan.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, adtplan, adtplan.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_import_defers_yaml_and_statistics() -> None:
+    # PyYAML loads at the first scenario read, statistics at the first quantile.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adtplan.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, adtplan, adtplan.cli\n"
+        "assert not {'yaml', 'statistics'} & set(sys.modules), sorted(sys.modules)\n"
+        f"adtplan.load_scenario({str(SCENARIO)!r})\n"
+        "assert 'yaml' in sys.modules\n"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 

@@ -196,6 +196,7 @@ class TestExchangeEngine:
         tilt=st.floats(0.0, 2.0),
     )
     @settings(max_examples=60, deadline=None)
+    @example(degree=3, J=8, log_t_star=6.409291268865276e-10, tilt=0.0)
     def test_cap1_matches_elfving_lp(self, degree: int, J: int, log_t_star: float, tilt: float) -> None:
         # Uncapped designs on f2(t)/sigma(t), sigma(t) growing linearly with
         # the tilt, against the Elfving linear program solved by HiGHS.
@@ -591,6 +592,42 @@ class TestKktCheck:
         # A one-point plan elsewhere does not identify f2(t*).
         with pytest.raises(InfeasibleDesignError):
             kkt_check(ApproximateDesign(points=(0.1,), weights=(1.0,)), grid, model, t_star)
+
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_cap_one_plans_off_the_grid_certify(self, table1: DegradationModel, degree: int) -> None:
+        # t* 1e-8 off a grid point: the engine's plans keep weights near 1e-8,
+        # whose nearly singular information once priced 291 quadratic and
+        # 442 cubic certified plans as failing, by up to 6.1e-3.
+        model = {1: table1, 2: quadratic_model(), 3: cubic_model()}[degree]
+        failed = []
+        for J in (8, 20, 57, 200):
+            grid = GridSpec(J=J, k=1)
+            for t_star in (i / J + offset for i in range(J + 1) for offset in (-1e-8, 1e-8)):
+                if t_star <= 0.0:
+                    continue
+                design, cert = optimize_time_plan(grid, model, t_star)
+                check = kkt_check(design, grid, model, t_star)
+                if not (cert.certified and check.certified):
+                    failed.append((J, t_star, cert.max_violation, check.max_violation))
+        assert failed == []
+
+    def test_cap_one_wrong_weights_fail(self) -> None:
+        # The simplex dual prices every plan on the optimal support alike, so
+        # only the criterion excess tells these weights from the optimum's.
+        model, grid, t_star = cubic_model(), GridSpec(J=20, k=1), 1.5
+        design, _ = optimize_time_plan(grid, model, t_star)
+        assert design.points == (0.0, 0.25, 0.75, 1.0)
+        equal = ApproximateDesign(points=design.points, weights=(0.25,) * 4)
+        check = kkt_check(equal, grid, model, t_star)
+        excess = c_criterion_time(equal, model, t_star).criterion_fixed / c_criterion_time(
+            design, model, t_star
+        ).criterion_fixed - 1.0
+        assert not check.certified
+        assert check.interior_set == (0, 5, 15, 20)
+        assert max(check.sensitivity) == pytest.approx(1.0, abs=1e-12)
+        assert check.max_violation == pytest.approx(excess, rel=1e-12)
+        assert excess == pytest.approx(0.17455621301775, rel=1e-9)
 
 
 class TestRoundToExact:
