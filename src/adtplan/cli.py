@@ -136,14 +136,20 @@ def _resolve_t_star(args: argparse.Namespace, model: DegradationModel) -> float:
 
 def _read_design_csv(path: str) -> ApproximateDesign:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not {"t", "weight"} <= set(reader.fieldnames):
             raise ValidationError(f"{path}: design CSV needs 't' and 'weight' columns")
-        rows = [(float(r["t"]), float(r["weight"])) for r in reader]
+        try:
+            rows = [(float(r["t"]), float(r["weight"])) for r in reader]
+        except ValueError as exc:  # a missing or non-numeric cell
+            raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: design CSV has no rows")
     rows.sort()
-    total = math.fsum(w for _, w in rows)
+    try:
+        total = math.fsum(w for _, w in rows)
+    except (OverflowError, ValueError):  # fsum raises where the float sum is inf or NaN
+        total = sum(w for _, w in rows)
     if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise ValidationError(f"{path}: design weights sum to {total!r}, not 1")
     return ApproximateDesign(

@@ -24,8 +24,9 @@ One kernel, _christoffel, evaluates both time criteria f2(t*)' M^- f2(t*),
 M = sum_j q_j f2(t_j) f2(t_j)', with q = w/sigma_eps^2 here and w/sigma^2(t)
 for destructive designs.  M is singular exactly when fewer than dim of the
 strictly increasing points carry weight; the error names the node polynomial
-prod (u - u_j), which lies in M's null space.  f2(t*) stays estimable when t*
-is a support point: a one-point design at t* scores sigma_eps^2 / w.
+prod (u - u_j), which lies in M's null space.  f2(t*) stays estimable when the
+support's f2(t_j) span it to rounding, the test Elfving's simplex cuts weights
+by: a one-point design at t* scores sigma_eps^2 / w.
 """
 
 from __future__ import annotations
@@ -71,16 +72,30 @@ def _require_rank(support: np.ndarray, dim: int, var: str) -> None:
         raise SingularDesignError(f"information matrix is singular; design does not identify the direction {node}")
 
 
+# Vectors span a target when least squares leaves at most this share of its norm:
+# Elfving's simplex cuts weights by this test, and _christoffel accepts supports.
+_SPAN_TOL = 1e-12
+
+
+def _span_coefficients(columns: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """Least-squares x of columns @ x = target when it meets _SPAN_TOL relative, else None."""
+    x = np.linalg.lstsq(columns, target, rcond=None)[0]
+    return x if np.linalg.norm(columns @ x - target) <= _SPAN_TOL * np.linalg.norm(target) else None
+
+
 def _christoffel(points: np.ndarray, q: np.ndarray, target: float, dim: int) -> float:
     """f(target)' M^- f(target), M = sum_j q_j f(u_j) f(u_j)', f the power basis of size dim.
 
     Sums pi_k(target)^2 / sum_j q_j pi_k(u_j)^2 over the monic polynomials pi_k
     orthogonal under q (Stieltjes' recurrence) that the support spans: positive
     terms, free of the digits a solve with M loses to its condition number.
+    Fewer than dim points suffice when their f(u_j) span f(target) to _SPAN_TOL.
     """
     support = points[q > 0.0]
-    if target not in support:
-        _require_rank(support, dim, "t")
+    if support.size < dim:
+        powers = np.vander(np.append(support, target), dim, increasing=True)
+        if _span_coefficients(powers[:-1].T, powers[-1]) is None:
+            _require_rank(support, dim, "t")
     # poly, poly_star: pi_k at the u_j and at target; *_prev: pi_{k-1}.
     total, poly, poly_prev, poly_star, star_prev, norm_prev = 0.0, np.ones_like(points), 0.0, 1.0, 0.0, 1.0
     for _ in range(min(dim, support.size)):

@@ -11,7 +11,8 @@ grid, and the extrapolation time.
 
 Caps of at most 1/p (k >= p measurements per unit): pair exchange with an
 exact step (REX; Harman, Filova & Richtarik 2020), started from the cap-1
-optimum spread to the cap.  Weight moves from the supported point of lowest
+optimum spread to the cap, in the basis where that start's information is
+the identity (one QR).  Weight moves from the supported point of lowest
 sensitivity phi to the unsaturated point of highest phi, then between
 interior points, each time by the exact line minimum; each step factorizes
 the p x p information summed over the current support only.  Cap 1 (k = 1):
@@ -29,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criteria import _christoffel
+from .criteria import _christoffel, _span_coefficients
 from .errors import InfeasibleDesignError, SingularDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -50,14 +51,8 @@ __all__ = [
 # how close a weight must be to 0 or to the cap to count as zero or saturated.
 _TOL = 1e-7
 
-# Spread start: when the diagonal of its factor spans more than this ratio
-# (the pivots of M its square), the criterion the exchange reports along its
-# path loses digits (up to 7e-6 relative on cubic plans at t* <= 1), and the
-# share _SPREAD_BLEND of the weight moves to equally spaced points.
-_SPREAD_DIAGONAL_RATIO, _SPREAD_BLEND = 100.0, 1e-2
-
 # Elfving's simplex: a relative change below _LP_TOL counts as none (in a
-# price against 1, the objective, or c); pivots need d_i > _PIVOT_TOL max|d|.
+# price against 1 or the objective); pivots need d_i > _PIVOT_TOL max|d|.
 _LP_TOL, _PIVOT_TOL = 1e-12, 1e-9
 
 
@@ -144,12 +139,9 @@ class _CappedCProblem:
     of M(w) travel together: spread() sets them, and a move that
     accepts a trial design keeps the factor it took of that trial, so each
     design is factorized once.  M is summed over V[S], so a step costs
-    O(|S| p^2), not a scan of the grid.
+    O(|S| p^2), not a scan of the grid.  spread() also moves V and c to the
+    start's basis and stacks them, [V; c], for the exchange's one gather.
     """
-
-    # Rows [V; c]: the exchange's right-hand sides [v_i, v_j, c] in one gather.
-    # Built by spread(), on the capped path only.
-    stack: np.ndarray
 
     def __init__(self, vectors: np.ndarray, c: np.ndarray, cap: float):
         self.V = np.asarray(vectors, dtype=float)
@@ -236,21 +228,21 @@ class _CappedCProblem:
         return decrease
 
     def spread(self) -> None:
-        """Start design: Elfving's cap-1 optimum spread to the cap.
+        """Start design: Elfving's cap-1 optimum spread to the cap, in a basis where its information is I.
 
         Each support point s of the cap-1 weights u takes a block of the
         points nearest it (s, s - 1, s + 1, s - 2, ...): floor(u_s / cap) of
         them at the cap and the remainder on the next free point, so the
         weights sum to sum u = 1.  On tight grids, where the blocks overlap,
         a remainder that finds no free point goes to the nearest points with
-        room.  A spread whose factor is singular or ill-conditioned (a cluster
-        around a nearly one-point optimum, as for t* <= 1 near a grid point)
-        moves the share _SPREAD_BLEND of its weight to m equally spaced
-        points, nonsingular when any p candidate vectors are linearly
-        independent.
+        room.  Then V and c map to V R^-1 and c R^-1, R from the QR of the
+        weighted rows sqrt(w_S) V_S (Golub & Van Loan, section 5.3): c' M^-1 c
+        and phi do not change (Pukelsheim 1993), but a start clustered around
+        a nearly one-point optimum (t* <= 1 near a grid point) no longer
+        prices the steps by an ill-conditioned factor.  A rank drop in R
+        means dependent candidates.
         """
         n, cap = self.n, self.cap
-        self.stack = np.vstack([self.V, self.c])
         u, _, _ = _elfving_pivots(_CappedCProblem(self.V, self.c, 1.0), OptimizerConfig().max_iters, None)
         weight: dict[int, float] = {}
         for s, us in zip(np.flatnonzero(u).tolist(), u[u > 0.0].tolist()):
@@ -268,23 +260,16 @@ class _CappedCProblem:
                 if rest <= 0.0:
                     break
         w = self.w
-        w[:] = 0.0
         w[list(weight)] = list(weight.values())
         self.S = np.flatnonzero(w > 0.0)
+        R = np.linalg.qr(np.sqrt(w[self.S])[:, None] * self.V[self.S], mode="r")
+        diagonal = np.abs(R.diagonal()).tolist()
+        if not min(diagonal) > self.p * 2.0**-52 * max(diagonal):
+            raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
+        R_inv = np.linalg.inv(R)
+        self.V, self.c = self.V @ R_inv, self.c @ R_inv
+        self.stack = np.vstack([self.V, self.c])
         self.L = self.cholesky(w, self.S)
-        if self.L is not None:
-            diagonal = self.L.diagonal().tolist()
-            if max(diagonal) <= _SPREAD_DIAGONAL_RATIO * min(diagonal):
-                return
-        # m = max(p, ceil(1/cap)) points, k for cap 1/k; the 1e-9 absorbs 1/cap's rounding.
-        m = min(n, max(self.p, math.ceil(1.0 / cap - 1e-9)))
-        w *= 1.0 - _SPREAD_BLEND
-        w[np.round(np.linspace(0, n - 1, m)).astype(np.intp)] += _SPREAD_BLEND / m
-        np.minimum(w, cap, out=w)
-        self.S = np.flatnonzero(w > 0.0)
-        self.L = self.cholesky(w, self.S)
-        if self.L is None:
-            raise InfeasibleDesignError("singular blended start: some p candidate vectors are linearly dependent")
 
 
 def _nearest(s: int, n: int) -> Iterator[int]:
@@ -349,25 +334,28 @@ def optimize_capped_weights(
     weights)`` is invoked at the start and after every step or pivot, which
     test suites use to watch feasibility and monotonicity; the criterion
     passed is the start value less the exact decrease of each step.  The
-    exchange starts from Elfving's cap-1 optimum spread to the cap (see
-    _CappedCProblem.spread), which leaves affine plans a few steps from
-    their optimum.  It stops when phi on the unsaturated points exceeds phi
-    on the supported points by at most the certificate's tolerance, the
-    simplex at its optimum, and both after cfg.max_iters steps (the start's
-    simplex pivots do not count).  Where the optimum is not unique, the
-    exchange returns the first certified design it reaches from that start.
+    exchange starts from Elfving's cap-1 optimum spread to the cap, which
+    leaves affine plans a few steps from their optimum, and runs in the
+    basis where that start's information is I (_CappedCProblem.spread); its
+    certificate is priced in the caller's basis, by design_sensitivity.  It
+    stops when phi on the unsaturated points exceeds phi on the supported
+    points by at most the certificate's tolerance, the simplex at its
+    optimum, and both after cfg.max_iters steps (the start's simplex pivots
+    do not count).  Where the optimum is not unique, the exchange returns
+    the first certified design it reaches from that start.
 
-    Cost: the start takes the simplex's pivots and one Cholesky
+    Cost: the start takes the simplex's pivots, one QR and one Cholesky
     factorization; each exchange step takes one factorization of the p x p
     information matrix, summed over the support S, per trial design, plus
-    O(n p) per round for the sensitivities.  The iterate's factor is
-    carried, so an accepted trial is never factorized again.  The simplex
-    takes one p x p inverse and O(n p) pricing per pivot, a few pivots on
-    power bases.
+    O(n p) per round for the sensitivities; the certificate takes one
+    factorization.  The iterate's factor is carried, so an accepted trial
+    is never factorized again.  The simplex takes one p x p inverse and
+    O(n p) pricing per pivot, a few pivots on power bases.
     """
     problem = _CappedCProblem(vectors, c, cap)
-    if cap >= 1.0:
-        return _elfving_simplex(problem, cfg, callback)
+    if cap >= 1.0:  # phi_j = (v_j' y)^2 from the simplex's dual y
+        w, g, pivots = _elfving_pivots(problem, cfg.max_iters, callback)
+        return w, _certificate(w, g * g, problem.cap, pivots)
     if problem.n * cap < 1.0 - 1e-12:
         raise InfeasibleDesignError(f"cap {cap} over {problem.n} candidate points cannot reach total weight 1")
     if cap * problem.p > 1.0 + 1e-12:
@@ -405,17 +393,7 @@ def optimize_capped_weights(
                 step(problem.exchange, i, j, _TOL)
         _, phi = problem.criterion_and_sensitivity(problem.L)
 
-    return w, _certificate(w, phi, problem.cap, iteration)
-
-
-def _elfving_simplex(
-    problem: _CappedCProblem,
-    cfg: OptimizerConfig,
-    callback: Callable[[int, float, np.ndarray], None] | None,
-) -> tuple[np.ndarray, OptimalityCertificate]:
-    """Cap-1 weights and their certificate, phi_j = (v_j' y)^2 from the simplex's dual."""
-    w, g, pivots = _elfving_pivots(problem, cfg.max_iters, callback)
-    return w, _certificate(w, g * g, problem.cap, pivots)
+    return w, _certificate(w, design_sensitivity(vectors, c, w), problem.cap, iteration)
 
 
 def _elfving_pivots(
@@ -445,12 +423,12 @@ def _elfving_pivots(
         B = V[basis].T * sign
         B_inv = np.linalg.inv(B)
         x = np.maximum(B_inv @ c, 0.0)
-        # Small values are degenerate zeros if the other columns give c to rounding.
+        # Small values are degenerate zeros if the other columns give c to
+        # rounding: the span test criteria._christoffel applies to supports.
         small = x <= _TOL * x.sum()
-        if small.any():
-            rest = np.linalg.lstsq(B[:, ~small], c, rcond=None)[0]
-            if np.linalg.norm(B[:, ~small] @ rest - c) <= _LP_TOL * np.linalg.norm(c):
-                x[small], x[~small] = 0.0, rest
+        rest = _span_coefficients(B[:, ~small], c) if small.any() else None
+        if rest is not None:
+            x[small], x[~small] = 0.0, rest
         w = np.zeros(n)
         w[basis] = x / x.sum()
         total = x.sum() if iteration == 0 else total

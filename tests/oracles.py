@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -166,6 +167,20 @@ def scan_draws(seed: int, n: int = 300) -> list[tuple[int, int, int, float]]:
     return draws
 
 
+def low_t_draws(seed: int = 20261018, n: int = 150, t_seed: int = 5) -> list[tuple[int, int, int, float]]:
+    """The first n draws of scan_draws(seed) with t* redrawn inside the horizon.
+
+    t* is log-uniform on [0.3, 1], rounded to 3 decimals, from
+    numpy.random.default_rng(t_seed): capped optima there cluster around t*,
+    and the start of the exchange is a nearly one-point design.
+    """
+    rng = np.random.default_rng(t_seed)
+    return [
+        (degree, J, k, round(math.exp(rng.uniform(math.log(0.3), 0.0)), 3))
+        for degree, J, k, _ in scan_draws(seed)[:n]
+    ]
+
+
 def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:
     """Full single-observation information of a destructive design, point by point.
 
@@ -245,6 +260,33 @@ def time_criterion_50_digits(design: ApproximateDesign, model: DegradationModel,
         for r in reversed(range(p)):
             x[r] = (a[r][p] - sum(a[r][s] * x[s] for s in range(r + 1, p))) / a[r][r]
         return float(sum(ci * xi for ci, xi in zip(c, x)) * Decimal(model.sigma_eps) ** 2)
+
+
+def time_sensitivity_exact(points: np.ndarray, weights: np.ndarray, t_star: float, degree: int) -> list[Fraction]:
+    """phi_j = (c' M^-1 f(u_j))^2 / (c' M^-1 c) at every point u_j, as exact fractions.
+
+    M = sum_j w_j f(u_j) f(u_j)' over the power basis f of the given degree
+    and c = f(t_star), built from the exact binary values of the floats and
+    solved by Gaussian elimination over fractions.Fraction, so nothing is
+    rounded.  sigma_eps cancels from phi, so it does not enter.
+    """
+    p = degree + 1
+
+    def f(u: float) -> list[Fraction]:
+        return [Fraction(u) ** i for i in range(p)]
+
+    rows = [(Fraction(w), f(u)) for u, w in zip(np.asarray(points).tolist(), np.asarray(weights).tolist())]
+    c = f(t_star)
+    a = [[sum(w * v[r] * v[s] for w, v in rows if w) for s in range(p)] + [c[r]] for r in range(p)]
+    for col in range(p):
+        for r in range(col + 1, p):
+            ratio = a[r][col] / a[col][col]
+            a[r] = [x - ratio * y for x, y in zip(a[r], a[col])]
+    y = [Fraction(0)] * p  # y = M^-1 c
+    for r in reversed(range(p)):
+        y[r] = (a[r][p] - sum(a[r][s] * y[s] for s in range(r + 1, p))) / a[r][r]
+    crit = sum(ci * yi for ci, yi in zip(c, y))
+    return [sum(vi * yi for vi, yi in zip(v, y)) ** 2 / crit for _, v in rows]
 
 
 def _ratio_model(target_ratio: float, model: DegradationModel) -> DegradationModel | None:

@@ -257,7 +257,14 @@ class TestCheck:
         assert float(report["efficiency"]) == 1.0
 
     @pytest.mark.parametrize(
-        "text, message", [("t,weight\n", "has no rows"), ("t,weight\n0.0,0.5\n1.0,0.4\n", "sum to 0.9")]
+        "text, message",
+        [
+            ("t,weight\n", "has no rows"),
+            ("t,weight\n0.0,0.5\n1.0,0.4\n", "sum to 0.9"),
+            ("t,weight\n0.0,abc\n1.0,0.5\n", "could not convert string to float: 'abc'"),
+            ("t,weight\n0.0,inf\n1.0,-inf\n", "sum to nan"),
+            ("t,weight\n0.0,1e308\n1.0,1e308\n", "sum to inf"),
+        ],
     )
     def test_design_csv_rejects(self, tmp_path: Path, text: str, message: str) -> None:
         design = tmp_path / "bad.csv"
@@ -272,6 +279,14 @@ class TestCheck:
         code = main(["check", "--scenario", str(SCENARIO), "--design", str(design)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {design}: design weights sum to nan, not 1\n"
+
+    def test_non_numeric_cell_exits_two(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        # It once escaped main as a bare ValueError with a traceback and exit 1.
+        design = tmp_path / "abc.csv"
+        design.write_text("t,weight\n0.0,abc\n1.0,0.5\n")
+        code = main(["check", "--scenario", str(SCENARIO), "--design", str(design)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {design}: could not convert string to float: 'abc'\n"
 
     def test_missing_column_exits_two(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]

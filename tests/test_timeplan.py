@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,14 @@ from adtplan import (
 from adtplan.criteria import _christoffel
 from adtplan.timeplan import design_sensitivity
 from conftest import T_MEDIAN, cubic_model, quadratic_model
-from oracles import best_exact_rounding, elfving_lp_oracle, scan_draws, two_point_extrapolation_design
+from oracles import (
+    best_exact_rounding,
+    elfving_lp_oracle,
+    low_t_draws,
+    scan_draws,
+    time_sensitivity_exact,
+    two_point_extrapolation_design,
+)
 
 TAU0 = ApproximateDesign(
     points=(0.0, 0.05, 0.10, 0.90, 0.95, 1.00),
@@ -106,31 +114,34 @@ class TestGridSpec:
 # Engine outputs pinned bit for bit: (basis, J, k, t*, iterations,
 # max_violation, support as grid indices, unsaturated weights by grid index
 # (every other support point carries the cap 1/k), Cholesky factorizations).
+# Capped plans factorize in the start's preconditioned basis and price their
+# certificate once more in the caller's, so supports on flat optima and last
+# bits follow that basis.
 # k = 1 plans are the destructive designs on the weighted basis f2(t)/sigma(t),
 # solved by Elfving's simplex: iterations count its pivots, and it factorizes
 # no information matrix.
 _PINNED_PLANS = [
     (
-        "affine", 100, 3, 1.1, 1, 7.882583474838611e-15,
+        "affine", 100, 3, 1.1, 1, 9.658940314238862e-15,
         (0, 98, 99, 100),
-        {0: 0.09189249470279945, 98: 0.24144083863053395},
-        2,
+        {0: 0.09189249470279924, 98: 0.24144083863053417},
+        3,
     ),
     (
-        "quadratic", 294, 24, 2.391, 32, 8.562077591367512e-08,
+        "quadratic", 294, 24, 2.391, 33, 7.783943178907293e-08,
         (0, 1, 2, 3, 4, 139, 140, *range(141, 153), *range(287, 295)),
         {
-            4: 0.023370648129294996,
-            139: 0.00024696708636237234,
-            152: 0.0035030591027202505,
-            287: 0.014545992348289117,
+            4: 0.023359362595504776,
+            139: 1.2509194746279139e-06,
+            152: 0.0037487573842431834,
+            287: 0.014557295767444153,
         },
-        33,
+        35,
     ),
     (
-        "cubic", 62, 7, 1.343, 31, 4.57690940702804e-08,
+        "cubic", 62, 7, 1.343, 30, 7.147613090285887e-08,
         (0, 15, 16, 45, 46, 47, 61, 62),
-        {0: 0.09124063697707728, 16: 0.08061668935998124, 47: 0.11385695937722735},
+        {0: 0.0912406369768173, 16: 0.0806166953646977, 47: 0.1138569533727709},
         32,
     ),
     (
@@ -224,7 +235,9 @@ class TestExchangeEngine:
         # Cubic plans at or just off a grid point t* <= 1: Elfving's optimum is
         # (nearly) the one point t*, and its spread a cluster whose information
         # is too ill-conditioned for the running criterion (off by up to
-        # 9e-8 relative); the blended start keeps it to its digits.
+        # 9e-8 relative) in the caller's basis; the exchange runs in the basis
+        # where that start's information is the identity, which keeps it to
+        # its digits.
         basis = PowerBasis(3)
         vectors = basis.evaluate_many(np.arange(J + 1) / J) / 0.048
         c = basis.evaluate(t_star)
@@ -232,6 +245,21 @@ class TestExchangeEngine:
         w, cert = optimize_capped_weights(vectors, c, 1.0 / k, callback=lambda it, value, w: values.append(value))
         assert cert.certified
         assert values[-1] == pytest.approx(_criterion(vectors, c, w), rel=1e-10)
+
+    def test_low_t_draws_certify_in_few_steps(self) -> None:
+        # Capped optima inside the horizon cluster around t*, and so does the
+        # spread start.  Stepping in the caller's basis, from a start with 1 %
+        # of its weight blended onto spaced points, took 33,547 steps here.
+        steps, failed = 0, []
+        for degree, J, k, t_star in low_t_draws():
+            basis = PowerBasis(degree)
+            vectors = basis.evaluate_many(np.arange(J + 1) / J) / 0.048
+            _, cert = optimize_capped_weights(vectors, basis.evaluate(t_star), 1.0 / k)
+            steps += cert.iterations
+            if not cert.certified:
+                failed.append((degree, J, k, t_star, cert.max_violation))
+        assert failed == []
+        assert steps <= 10_000
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("J, k", [(28, 28), (33, 33), (38, 39)])
@@ -266,12 +294,21 @@ class TestExchangeEngine:
         with pytest.raises(InfeasibleDesignError):
             optimize_time_plan(GridSpec(J=1, k=1), quadratic_model(), 2.0)
 
+    def test_dependent_start_raises(self) -> None:
+        # Four copies of (1, 0): the simplex's spaced start basis, rows 0 and
+        # 5, is independent, but the cap-1 optimum spread to the cap 1/4
+        # lands on those copies alone, and the start's QR shows the rank drop.
+        vectors = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(InfeasibleDesignError, match="singular start: some p candidate vectors are linearly dependent"):
+            optimize_capped_weights(vectors, np.array([1.0, 0.0]), 0.25)
+
     def test_singular_trial_restores_the_iterate(
         self, table1: DegradationModel, monkeypatch: pytest.MonkeyPatch
     ) -> None:
         # This plan takes one exchange step from its start (_PINNED_PLANS).  A
         # factor that fails once, on that step's trial, rejects the step: the
-        # weights stay at the start and the run ends uncertified.
+        # weights stay at the start, the certificate factorizes them once
+        # more, and the run ends uncertified.
         vectors = table1.time_basis.evaluate_many(np.arange(101) / 100) / table1.sigma_eps
         c = table1.time_basis.evaluate(1.1)
         calls, cholesky = [], np.linalg.cholesky
@@ -285,7 +322,7 @@ class TestExchangeEngine:
         monkeypatch.setattr(np.linalg, "cholesky", fails_once)
         path: list[np.ndarray] = []
         w, cert = optimize_capped_weights(vectors, c, 1 / 3, callback=lambda it, value, w: path.append(w))
-        assert len(calls) == 2 and len(path) == 1
+        assert len(calls) == 3 and len(path) == 1
         assert cert.iterations == 0 and not cert.certified
         assert np.array_equal(w, path[0])
 
@@ -475,7 +512,8 @@ class TestExchangeEngine:
             assert cert.iterations <= 2 * model.p2
         # One factor for the start (Elfving's design spread to the cap; the
         # simplex that finds it factorizes nothing), then one per accepted
-        # step, which the next step reuses.
+        # step, which the next step reuses, and one for the certificate in
+        # the caller's basis.
         assert len(factored) == factorizations
         assert len(set(factored)) == len(factored)
 
@@ -497,6 +535,20 @@ class TestOptimizeTimePlan:
         crit = c_criterion_time(design, table1, T_MEDIAN).criterion_fixed
         assert crit == pytest.approx(0.012342623429880888, rel=1e-9)
         assert crit < 0.013925197199418806
+
+    def test_certificate_sensitivities_are_exact_to_rounding(self, table1: DegradationModel) -> None:
+        # The exchange steps in the start's preconditioned basis, but the
+        # certificate is priced in the caller's: its phi, the optimize-time
+        # golden sensitivities among them, stay within 1e-15 of the exact
+        # rational values, relative to the largest phi.
+        grid = GridSpec(J=20, k=6)
+        pts = grid.points()
+        design, cert = optimize_time_plan(grid, table1, T_MEDIAN)
+        w = np.zeros(pts.size)
+        w[np.searchsorted(pts, design.points)] = design.weights
+        exact = time_sensitivity_exact(pts, w, T_MEDIAN, 1)
+        error = max(abs(Fraction(phi) - e) for phi, e in zip(cert.sensitivity, exact))
+        assert error <= Fraction(1e-15) * max(exact)
 
     def test_callback_sees_feasible_monotone_iterates(self, table1: DegradationModel) -> None:
         grid = GridSpec(J=20, k=6)
@@ -611,6 +663,33 @@ class TestKktCheck:
                 if not (cert.certified and check.certified):
                     failed.append((J, t_star, cert.max_violation, check.max_violation))
         assert failed == []
+
+    @given(
+        degree=st.integers(1, 3),
+        J=st.integers(8, 200),
+        i_slot=st.floats(0.0, 1.0),
+        e=st.integers(8, 15),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(degree=3, J=20, i_slot=0.5, e=13, sign=1.0)
+    @example(degree=2, J=20, i_slot=0.5, e=13, sign=-1.0)
+    def test_cap_one_plans_near_a_grid_point_agree(
+        self, table1: DegradationModel, degree: int, J: int, i_slot: float, e: int, sign: float
+    ) -> None:
+        # Within about 1e-12 of a grid point the simplex cuts the weights
+        # beside it, since that point alone gives f2(t*) to rounding; its
+        # one-point plan once scored as singular and failed its own check.
+        model = {1: table1, 2: quadratic_model(), 3: cubic_model()}[degree]
+        grid = GridSpec(J=J, k=1)
+        t_star = max(round(i_slot * J), 1) / J + sign * 10.0**-e
+        design, cert = optimize_time_plan(grid, model, t_star)
+        crit = c_criterion_time(design, model, t_star).criterion_fixed
+        assert cert.certified
+        assert kkt_check(design, grid, model, t_star).certified
+        vectors = model.time_basis.evaluate_many(grid.points()) / model.sigma_eps
+        optimum, _ = elfving_lp_oracle(vectors, model.time_basis.evaluate(t_star))
+        assert crit == pytest.approx(optimum, rel=1e-9)
 
     def test_cap_one_wrong_weights_fail(self) -> None:
         # The simplex dual prices every plan on the optimal support alike, so
