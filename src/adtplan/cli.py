@@ -136,13 +136,17 @@ def _resolve_t_star(args: argparse.Namespace, model: DegradationModel) -> float:
 
 def _read_design_csv(path: str) -> ApproximateDesign:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or not {"t", "weight"} <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: design CSV needs 't' and 'weight' columns")
         try:
-            rows = [(float(r["t"]), float(r["weight"])) for r in reader]
-        except ValueError as exc:  # a missing or non-numeric cell
+            text = fh.read()
+        except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""), restval="")
+    if reader.fieldnames is None or not {"t", "weight"} <= set(reader.fieldnames):
+        raise ValidationError(f"{path}: design CSV needs 't' and 'weight' columns")
+    try:
+        rows = [(float(r["t"]), float(r["weight"])) for r in reader]
+    except ValueError as exc:  # a missing or non-numeric cell
+        raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: design CSV has no rows")
     rows.sort()

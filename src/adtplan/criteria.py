@@ -31,6 +31,7 @@ by: a one-point design at t* scores sigma_eps^2 / w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,12 @@ class CriterionReport:
     criterion_fixed: float
     criterion_random: float
     t_star: float
+
+
+def _require_t_star(t_star: float) -> None:
+    """Raise unless the extrapolation time is positive and finite (NaN is neither)."""
+    if not 0.0 < t_star < math.inf:
+        raise ValidationError(f"t_star must be positive and finite, got {t_star}")
 
 
 def _require_rank(support: np.ndarray, dim: int, var: str) -> None:
@@ -149,8 +156,7 @@ def info_time_fixed_total(design: ApproximateDesign, model: DegradationModel, k:
 
 def c_criterion_time(design: ApproximateDesign, model: DegradationModel, t_star: float) -> CriterionReport:
     """Marginal c-criterion f2(t*)' M2^-1 f2(t*) of a time plan, split into parts."""
-    if not (t_star > 0.0):
-        raise ValidationError(f"t_star must be positive, got {t_star}")
+    _require_t_star(t_star)
     ts, ws = design.as_arrays()
     if model.error_spec.is_homoscedastic:
         fixed = _christoffel(ts, ws / model.sigma_eps**2, float(t_star), model.p2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _christoffel, stress_extrapolation_factor
+from .criteria import _christoffel, _require_t_star, stress_extrapolation_factor
 from .errors import OutOfRegimeError, ValidationError
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel
@@ -115,6 +115,7 @@ def elfving_time_design(model: DegradationModel, t_star: float) -> ApproximateDe
     """
     if not model.time_basis.is_affine:
         raise ValidationError("Elfving time design requires the affine time basis")
+    _require_t_star(t_star)
     if not (t_star > 1.0):
         raise OutOfRegimeError(
             f"t_star = {t_star} <= 1 is out of the extrapolation regime; "
@@ -181,6 +182,7 @@ def numeric_destructive_time_design(
     at a t* <= 1 on the grid is the one-point design there.  On affine
     models with t* > 1 this reproduces elfving_time_design to grid resolution.
     """
+    _require_t_star(t_star)
     if grid is None:
         grid = GridSpec(J=400, k=1)
     if grid.k != 1:

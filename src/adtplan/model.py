@@ -77,6 +77,20 @@ class PowerBasis:
 AFFINE = PowerBasis(1)
 
 
+def _require_cholesky(mat: np.ndarray, shift: float, message: str) -> None:
+    """Raise ValidationError(message) unless the symmetric mat + shift I has a Cholesky factor.
+
+    A symmetric matrix is positive definite exactly when its Cholesky factor
+    exists (Golub & Van Loan, Matrix Computations, section 4.2), so a shift
+    tau > 0 accepts, to rounding, every matrix whose smallest eigenvalue
+    lies above -tau: the non-negative definite ones among them.
+    """
+    try:
+        np.linalg.cholesky(mat + shift * np.eye(len(mat)))
+    except np.linalg.LinAlgError:
+        raise ValidationError(message) from None
+
+
 @dataclass(frozen=True)
 class ErrorSpec:
     """Measurement-error covariance.
@@ -103,10 +117,7 @@ class ErrorSpec:
                 raise ValidationError("full error covariance must be a square matrix")
             if not np.allclose(mat, mat.T, atol=1e-12):
                 raise ValidationError("full error covariance must be symmetric")
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                raise ValidationError("full error covariance must be positive definite") from None
+            _require_cholesky(mat, 0.0, "full error covariance must be positive definite")
             # Re-store as nested tuples so the dataclass stays hashable/frozen.
             object.__setattr__(self, "full", tuple(tuple(float(v) for v in row) for row in mat))
 
@@ -145,6 +156,14 @@ class DegradationModel:
     matching the Kronecker ordering f1 kron f2.  x_u is the standardized
     use condition and may lie outside [0, 1]; y0 is the failure threshold
     on the degradation scale.
+
+    sigma_gamma must be symmetric and non-negative definite: the check takes
+    the Cholesky factor of sym + tau I, with sym its symmetric part and
+    tau = 1e-12 max(1, max |sym_ij|).  Every |sym_ij| is at most the largest
+    |eigenvalue|, so to rounding the check never accepts a matrix that the
+    eigenvalue rule lambda_min >= -1e-12 max(1, lambda_max) refuses, and it
+    accepts every sigma_gamma_from_sd_corr covariance, the singular
+    rho = +-1 and sigma2 = 0 ones included.
     """
 
     stress_basis: PowerBasis
@@ -174,9 +193,9 @@ class DegradationModel:
                 raise ValidationError(f"{name} must be finite, got {v}")
         if not np.allclose(mat, mat.T, atol=1e-12):
             raise ValidationError("sigma_gamma must be symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        if eigvals.min() < -1e-12 * max(1.0, eigvals.max()):
-            raise ValidationError("sigma_gamma must be non-negative definite")
+        sym = 0.5 * (mat + mat.T)
+        tau = 1e-12 * max(1.0, float(np.abs(sym).max()))
+        _require_cholesky(sym, tau, "sigma_gamma must be non-negative definite")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma_gamma", tuple(tuple(float(v) for v in row) for row in mat))
         object.__setattr__(self, "x_u", x_u)

@@ -262,4 +262,8 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioValidationError([f"{path}: {exc}"]) from None
+    return parse_scenario(text)

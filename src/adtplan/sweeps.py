@@ -221,10 +221,15 @@ def _resolve_nominals(spec: SweepSpec, model: DegradationModel) -> tuple[Degrada
 
 
 def _result(
-    spec: SweepSpec, t_star: float, t_median: float, ratio: float, effs: np.ndarray, reachable: np.ndarray
+    spec: SweepSpec,
+    a: np.ndarray,
+    t_star: float,
+    t_median: float,
+    ratio: float,
+    effs: np.ndarray,
+    reachable: np.ndarray,
 ) -> SweepResult:
-    """Rows with pi* at every abscissa (of t* at the base ratio, or of the ratio at t*) and the nominal markers."""
-    a = spec.abscissae()
+    """Rows with pi* at every abscissa a (of t* at the base ratio, or of the ratio at t*) and the nominal markers."""
     pi = pi_star_from_ratio(a, ratio) if spec.variable == "t_median" else pi_star_from_ratio(t_star, a)
     # tuple.__new__ over whole rows builds each SweepRow in C.
     columns = zip(a.tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
@@ -244,7 +249,7 @@ def sweep_pi_star(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         raise ValidationError("pi* sweeps require the affine time basis")
     _, t_star, t_median, ratio = _resolve_nominals(spec, model)
     n = spec.n_points
-    return _result(spec, t_star, t_median, ratio, np.empty((n, 0)), np.ones(n, dtype=bool))
+    return _result(spec, spec.abscissae(), t_star, t_median, ratio, np.empty((n, 0)), np.ones(n, dtype=bool))
 
 
 def candidate_time_designs(names: Sequence[str], model: DegradationModel, t_star: float) -> dict[str, ApproximateDesign]:
@@ -288,7 +293,7 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         t = np.full(a.size, t_nom)
         if sg[1, 1] == 0.0:  # sigma2 = 0: moving rho reaches no ratio
             nan = np.full((a.size, len(spec.candidates)), math.nan)
-            return _result(spec, t_nom, t_median, ratio, nan, np.zeros(a.size, dtype=bool))
+            return _result(spec, a, t_nom, t_median, ratio, nan, np.zeros(a.size, dtype=bool))
         s1, s2, rho = _rho_for_ratios(a, base)
         reachable = np.abs(rho) <= 1.0 + _RHO_SLACK
         s00, s01, s11 = s1**2, (np.clip(rho, -1.0, 1.0) * s1 * s2)[:, None], s2**2
@@ -308,7 +313,7 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         spread = (q[:, i] * q[:, j] * (pts[i] - pts[j]) ** 2).sum(axis=1)
         effs[:, col] = best / ((q * (t[:, None] - pts) ** 2).sum(axis=1) / spread)
     effs[~reachable] = math.nan
-    return _result(spec, t_nom, t_median, ratio, effs, reachable)
+    return _result(spec, a, t_nom, t_median, ratio, effs, reachable)
 
 
 def default_sweep_spec(variable: str) -> SweepSpec:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criteria import _christoffel, _span_coefficients
+from .criteria import _christoffel, _require_t_star, _span_coefficients
 from .errors import InfeasibleDesignError, SingularDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -148,6 +148,8 @@ class _CappedCProblem:
         self.c = np.asarray(c, dtype=float)
         if self.V.ndim != 2 or self.V.shape[1] != self.c.size:
             raise ValidationError("vectors must be rows of the same dimension as c")
+        if not np.isfinite(self.c).all():
+            raise ValidationError(f"target vector c must be finite, got {self.c.tolist()}")
         self.n, self.p = self.V.shape
         self.cap = float(cap)
         self.w = np.zeros(self.n)
@@ -327,7 +329,9 @@ def optimize_capped_weights(
     rows of ``vectors`` are the candidate regression vectors v_j, and any p
     of them must be linearly independent, as the rows of a power basis and
     their positive scalings over distinct times are.  A singular start
-    (dependent candidates) raises InfeasibleDesignError.  Returns the weight
+    (dependent candidates) raises InfeasibleDesignError; a c that is not
+    finite, or one whose criterion c' M^-1 c at the exchange's start
+    overflows, raises ValidationError.  Returns the weight
     vector over all candidates together with its certificate.
     Cap 1 runs Elfving's simplex, a cap of at most 1/p the exchange; caps in
     between raise ValidationError.  ``callback(iteration, criterion,
@@ -363,7 +367,10 @@ def optimize_capped_weights(
 
     problem.spread()
     w = problem.w
-    crit, phi = problem.criterion_and_sensitivity(problem.L)
+    with np.errstate(over="ignore"):
+        crit, phi = problem.criterion_and_sensitivity(problem.L)
+    if phi is None:  # spread() refuses singular starts, so c' M^-1 c left the float range
+        raise ValidationError("criterion c' M^-1 c overflows at the start design; c is too large")
     iteration = 0
 
     def step(move: Callable[..., float | None], *args: object) -> bool:
@@ -490,8 +497,7 @@ def optimize_time_plan(
         raise InfeasibleDesignError(
             f"k = {grid.k} measurements cannot identify a basis of dimension {model.p2}"
         )
-    if not (t_star > 0.0):
-        raise ValidationError(f"t_star must be positive, got {t_star}")
+    _require_t_star(t_star)
     pts = grid.points()
     vectors, c = _time_problem(model, pts, t_star)
     w, cert = optimize_capped_weights(vectors, c, grid.cap, cfg, callback)
@@ -563,6 +569,7 @@ def kkt_check(
     criterion excess over the simplex optimum, relative and both by
     criteria._christoffel, counts as a violation too.
     """
+    _require_t_star(t_star)
     pts = grid.points()
     w = _design_on_grid(design, pts)
     vectors, c = _time_problem(model, pts, t_star)

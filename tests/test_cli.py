@@ -30,6 +30,10 @@ model:
 """
 
 
+# What Python's UTF-8 codec says about a file starting with the bytes ff fe.
+_UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 def lines_as_dict(out: str) -> dict[str, str]:
     pairs = [line.split(",", 1) for line in out.strip().splitlines() if "," in line]
     return {k: v for k, v in pairs}
@@ -297,6 +301,14 @@ class TestCheck:
         assert code == 2
         assert "weight" in capsys.readouterr().err
 
+    def test_non_utf8_design_exits_two(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        # The decode error, a ValueError, once escaped main with a traceback and exit 1.
+        design = tmp_path / "utf16.csv"
+        design.write_bytes(b"\xff\xfe")
+        code = main(["check", "--scenario", str(SCENARIO), "--design", str(design)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {design}: {_UTF8_ERROR}\n"
+
 
 class TestErrorPaths:
     def test_invalid_scenario_exits_two(
@@ -331,6 +343,33 @@ class TestErrorPaths:
         code = main(["quantile", "--scenario", "/nonexistent/x.scenario"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_scenario_exits_two(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        scn = tmp_path / "utf16.scenario"
+        scn.write_bytes(b"\xff\xfe")
+        assert main(["quantile", "--scenario", str(scn)]) == 2
+        assert capsys.readouterr().err == f"error: {scn}: {_UTF8_ERROR}\n"
+
+    @pytest.mark.parametrize(
+        "subcommand, t_star, message",
+        [
+            ("optimize-time", "inf", "t_star must be positive and finite, got inf"),
+            ("optimize-time", "1e300", "criterion c' M^-1 c overflows at the start design; c is too large"),
+            ("optimize-destructive", "inf", "t_star must be positive and finite, got inf"),
+            ("efficiency", "inf", "t_star must be positive and finite, got inf"),
+            ("check", "inf", "t_star must be positive and finite, got inf"),
+        ],
+    )
+    def test_unusable_t_star_exits_two(
+        self, capsys: pytest.CaptureFixture[str], subcommand: str, t_star: str, message: str
+    ) -> None:
+        # optimize-time once exited 1 with a traceback at both values; the
+        # destructive commands blamed "weights must be non-negative, got (nan, nan)".
+        args = [subcommand, "--scenario", str(SCENARIO), "--t-star", t_star]
+        if subcommand == "check":
+            args += ["--design", str(GOLDEN / "optimize_time.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

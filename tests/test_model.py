@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adtplan import (
@@ -170,6 +170,86 @@ class TestDegradationModel:
 
         scaled = dataclasses.replace(table1, beta=tuple(c * b for b in table1.beta))
         assert np.allclose(eval_delta(scaled), c * np.asarray(eval_delta(table1)))
+
+
+def _model_with_sigma_gamma(sigma_gamma: np.ndarray) -> DegradationModel:
+    """An affine-stress model whose time basis has the dimension of sigma_gamma."""
+    p = len(sigma_gamma)
+    return DegradationModel(
+        stress_basis=AFFINE,
+        time_basis=PowerBasis(p - 1),
+        beta=(1.0,) * (2 * p),
+        sigma_gamma=np.asarray(sigma_gamma).tolist(),
+        error_spec=ErrorSpec(sigma_eps=0.1),
+        x_u=-0.1,
+        y0=2.0,
+    )
+
+
+def _accepts(sigma_gamma: np.ndarray) -> bool:
+    try:
+        _model_with_sigma_gamma(sigma_gamma)
+    except ValidationError as exc:
+        assert str(exc) == "sigma_gamma must be non-negative definite"
+        return False
+    return True
+
+
+_UNIT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+class TestSigmaGammaDefiniteness:
+    # sigma_gamma is checked by the Cholesky factor of sym + tau I,
+    # tau = 1e-12 max(1, max |sym_ij|); eigvalsh serves as the oracle here.
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_eigenvalue_rule_near_the_threshold(self, data: st.DataObject) -> None:
+        # Q diag(lam) Q' with the largest eigenvalue 10^e and the smallest a
+        # few multiples of 1e-12 max(1, 10^e) either side of zero.
+        p = data.draw(st.integers(min_value=1, max_value=4), label="p")
+        a = np.array(data.draw(st.lists(_UNIT, min_size=p * p, max_size=p * p), label="a")).reshape(p, p)
+        q = np.linalg.qr(a)[0]
+        top = 10.0 ** data.draw(st.floats(min_value=-8.0, max_value=8.0), label="log10 top")
+        middle = [top * data.draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(p - 2)]
+        low = data.draw(st.floats(min_value=-4.0, max_value=4.0), label="low") * 1e-12 * max(1.0, top)
+        lam = np.array([top, *middle, low] if p > 1 else [low])
+        mat = (q * lam) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        ev = np.linalg.eigvalsh(mat)
+        scale = max(1.0, ev.max())
+        if ev.min() < -2e-12 * scale:
+            assert not _accepts(mat)
+        if ev.min() >= -1e-13 * scale:
+            assert _accepts(mat)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_every_gram_matrix(self, data: st.DataObject) -> None:
+        # B'B with B of 1-4 rows: rank deficient whenever B has fewer rows than columns.
+        p = data.draw(st.integers(min_value=1, max_value=4), label="p")
+        rows = data.draw(st.integers(min_value=1, max_value=4), label="rows")
+        scale = 10.0 ** data.draw(st.floats(min_value=-8.0, max_value=8.0), label="log10 scale")
+        b = scale * np.array(data.draw(st.lists(_UNIT, min_size=rows * p, max_size=rows * p))).reshape(rows, p)
+        assert _accepts(b.T @ b)
+
+    @given(
+        s1=st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e8)),
+        s2=st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e8)),
+        rho=_UNIT,
+    )
+    @example(s1=1e8, s2=1e8, rho=1.0)
+    @example(s1=1e8, s2=1e-8, rho=-1.0)
+    @example(s1=1e-8, s2=1e-8, rho=1.0)
+    @example(s1=0.114, s2=0.0, rho=-0.143)
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_every_sd_corr_covariance(self, s1: float, s2: float, rho: float) -> None:
+        assert _accepts(np.array(sigma_gamma_from_sd_corr(s1, s2, rho)))
+
+    def test_refuses_a_negative_eigenvalue_just_beyond_the_shift(self) -> None:
+        # tau = 1e-12 here: an eigenvalue of -2e-12 lies below -tau, one of -0.5e-12 above it.
+        assert not _accepts(np.diag([1.0, -2e-12]))
+        assert _accepts(np.diag([1.0, -0.5e-12]))
 
 
 class TestApproximateDesign:

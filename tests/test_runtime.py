@@ -38,6 +38,31 @@ def test_import_defers_yaml_and_statistics() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_planning_never_calls_eigvalsh() -> None:
+    # Every covariance, information matrix and factor is checked by Cholesky,
+    # so a planning process never pages in LAPACK's symmetric eigensolver.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adtplan.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg.eigvalsh was called')\n"
+        "np.linalg.eigvalsh = refuse\n"
+        "from adtplan import GridSpec, default_sweep_spec, load_scenario, median_failure_time\n"
+        "from adtplan import numeric_destructive_time_design, optimize_time_plan, sweep_efficiency\n"
+        "from conftest import quadratic_model\n"
+        f"example1 = load_scenario({str(SCENARIO)!r}).model\n"
+        "for model in (example1, quadratic_model()):\n"
+        "    t_star = median_failure_time(model)\n"
+        "    for k in (6, 1):\n"
+        "        assert optimize_time_plan(GridSpec(J=20, k=k), model, t_star)[1].certified\n"
+        "    assert numeric_destructive_time_design(model, t_star)[1].certified\n"
+        "assert len(sweep_efficiency(default_sweep_spec('t_median'), example1).rows) == 200\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_bench_imports_resolve() -> None:
     tree = ast.parse((BENCH / "workloads.py").read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "adtplan"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from adtplan import (
     VarianceFunction,
     c_criterion_time,
     efficiency,
+    elfving_time_design,
     kkt_check,
     median_failure_time,
     numeric_destructive_time_design,
@@ -337,6 +339,25 @@ class TestExchangeEngine:
         vectors = PowerBasis(2).evaluate_many(np.arange(11) / 10)
         with pytest.raises(ValidationError, match="between 1/p and 1"):
             optimize_capped_weights(vectors, PowerBasis(2).evaluate(2.0), 0.5)
+
+    @pytest.mark.parametrize("cap", [1.0, 1 / 6])
+    def test_non_finite_target_rejected(self, cap: float) -> None:
+        vectors = PowerBasis(2).evaluate_many(np.arange(21) / 20)
+        with pytest.raises(ValidationError, match=r"target vector c must be finite, got \[1.0, 1e\+160, inf\]"):
+            optimize_capped_weights(vectors, np.array([1.0, 1e160, math.inf]), cap)
+
+    @pytest.mark.parametrize("t_star", [1e160, 1e300])
+    def test_start_criterion_overflow_is_named(self, table1: DegradationModel, t_star: float) -> None:
+        # c' M^-1 c of the start overflowed to inf, and the exchange loop then
+        # indexed the sensitivity None with a TypeError.
+        with pytest.raises(ValidationError, match="overflows at the start design"):
+            optimize_time_plan(GridSpec(J=20, k=6), table1, t_star)
+
+    def test_cap_one_plan_at_a_huge_t_star(self, table1: DegradationModel) -> None:
+        # The simplex never forms c' M^-1 c, so t* = 1e300 still gives the slope-optimal plan.
+        design, cert = optimize_time_plan(GridSpec(J=20, k=1), table1, 1e300)
+        assert cert.certified
+        assert design.points == (0.0, 1.0) and design.weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("J, k, t_star", [(100, 3, 1.1), (400, 10, 5.0), (1000, 10, 1.1)])
     def test_affine_plans_certify(self, table1: DegradationModel, J: int, k: int, t_star: float) -> None:
@@ -807,3 +828,24 @@ class TestRoundToExact:
         design = ApproximateDesign(points=points, weights=(5e-4,) * 1999 + (1e-7,) * 5000)
         with pytest.raises(InfeasibleDesignError, match="only 1999 candidate points for 2000 slots"):
             round_to_exact(design, 2000, table1, T_MEDIAN)
+
+
+_T_STAR_ENTRIES = {
+    "optimize_time_plan": lambda m, t: optimize_time_plan(GridSpec(J=20, k=6), m, t),
+    "optimize_time_plan_k1": lambda m, t: optimize_time_plan(GridSpec(J=20, k=1), m, t),
+    "kkt_check": lambda m, t: kkt_check(TAU0, GridSpec(J=20, k=6), m, t),
+    "c_criterion_time": lambda m, t: c_criterion_time(TAU0, m, t),
+    "elfving_time_design": elfving_time_design,
+    "numeric_destructive_time_design": numeric_destructive_time_design,
+}
+
+
+@pytest.mark.parametrize("entry", _T_STAR_ENTRIES.values(), ids=_T_STAR_ENTRIES)
+@pytest.mark.parametrize("t_star", [math.inf, math.nan, -math.inf, 0.0])
+def test_t_star_must_be_positive_and_finite(
+    table1: DegradationModel, entry: Callable[[DegradationModel, float], object], t_star: float
+) -> None:
+    # t* = inf once ended in "min() arg is an empty sequence", a NaN criterion
+    # or "weights must be non-negative, got (nan, nan)", depending on the entry.
+    with pytest.raises(ValidationError, match=f"^t_star must be positive and finite, got {t_star}$"):
+        entry(table1, t_star)
