@@ -223,6 +223,9 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
     xi = elfving_stress_design(model)
     tau = elfving_time_design(model, t_star)
     zeta = product_design(xi, tau)
+    criterion = c_criterion_single_obs(zeta, model, t_star)
+    ts, ws = tau.as_arrays()
+    sens = design_sensitivity(weighted_f2(ts, model), model.time_basis.evaluate(t_star), ws)
     _emit("command", "optimize-destructive")
     _model_lines(model)
     _emit("t_star", t_star)
@@ -231,11 +234,9 @@ def cmd_optimize_destructive(args: argparse.Namespace, scenario: Scenario) -> in
     _emit("pi_star", tau.weights[-1])
     for (x, t), wt in zeta.combined:
         _emit(f"zeta_{repr(float(x))}_{repr(float(t))}", wt)
-    _emit("criterion_single_obs", c_criterion_single_obs(zeta, model, t_star))
+    _emit("criterion_single_obs", criterion)
     _emit("certified", True)  # the Elfving design is optimal by construction
 
-    ts, ws = tau.as_arrays()
-    sens = design_sensitivity(weighted_f2(ts, model), model.time_basis.evaluate(t_star), ws)
     rows = [[t, w, s, w >= 1.0 - 1e-9] for t, w, s in zip(tau.points, tau.weights, sens.tolist())]
     _write_table(args, scenario, ["t", "weight", "sensitivity", "saturated"], rows, _records)
     return _EXIT_OK

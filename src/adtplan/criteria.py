@@ -72,6 +72,17 @@ def _require_t_star(t_star: float) -> None:
         raise ValidationError(f"t_star must be positive and finite, got {t_star}")
 
 
+def _require_finite_criterion(value: float) -> None:
+    """Raise unless a criterion value stayed in the float range, as the capped engine refuses its start.
+
+    Every criterion is c' M^-1 c up to design-free factors, with c = f2(t*)
+    or a Kronecker product with it, so a finite t* far enough out overflows
+    it: to inf, or to NaN where inf - inf appears on the way.
+    """
+    if not math.isfinite(value):
+        raise ValidationError("criterion c' M^-1 c overflows; c is too large")
+
+
 def _require_rank(support: np.ndarray, dim: int, var: str) -> None:
     """The count rule: raise unless the positive-weight points span a power basis of size dim."""
     if support.size < dim:
@@ -155,14 +166,19 @@ def info_time_fixed_total(design: ApproximateDesign, model: DegradationModel, k:
 
 
 def c_criterion_time(design: ApproximateDesign, model: DegradationModel, t_star: float) -> CriterionReport:
-    """Marginal c-criterion f2(t*)' M2^-1 f2(t*) of a time plan, split into parts."""
+    """Marginal c-criterion f2(t*)' M2^-1 f2(t*) of a time plan, split into parts.
+
+    A t* so far out that the criterion overflows raises ValidationError.
+    """
     _require_t_star(t_star)
     ts, ws = design.as_arrays()
-    if model.error_spec.is_homoscedastic:
-        fixed = _christoffel(ts, ws / model.sigma_eps**2, float(t_star), model.p2)
-    else:  # info_time_fixed checks the equal weights 1/k, so every point counts
-        fixed = _cholesky_form(info_time_fixed(design, model), model.time_basis.evaluate(t_star), ts, "t")
-    random = sigma_u2(t_star, model)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if model.error_spec.is_homoscedastic:
+            fixed = _christoffel(ts, ws / model.sigma_eps**2, float(t_star), model.p2)
+        else:  # info_time_fixed checks the equal weights 1/k, so every point counts
+            fixed = _cholesky_form(info_time_fixed(design, model), model.time_basis.evaluate(t_star), ts, "t")
+        random = sigma_u2(t_star, model)
+    _require_finite_criterion(fixed + random)
     return CriterionReport(
         criterion_total=fixed + random,
         criterion_fixed=fixed,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _christoffel, _require_t_star, stress_extrapolation_factor
+from .criteria import _christoffel, _require_finite_criterion, _require_t_star, stress_extrapolation_factor
 from .errors import OutOfRegimeError, ValidationError
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel
@@ -162,11 +162,14 @@ def c_criterion_single_obs(design: ProductDesign, model: DegradationModel, t_sta
     The information of zeta = xi x tau is M1(xi) kron M2~(tau), with
     M2~(tau) = sum_j q_j f2(t_j) f2(t_j)' and q_j = tau_j / sigma^2(t_j), so
     the criterion is f1(x_u)' M1(xi)^-1 f1(x_u) * f2(t*)' M2~(tau)^-1 f2(t*),
-    whose time factor is criteria's Christoffel kernel.
+    whose time factor is criteria's Christoffel kernel.  A t* so far out
+    that the criterion overflows raises ValidationError.
     """
     ts, ws = design.time_design.as_arrays()
     time_factor = _christoffel(ts, ws / VarianceFunction(model).sigma2(ts), t_star, model.p2)
-    return float(stress_extrapolation_factor(design.stress_design, model) * time_factor)
+    criterion = float(stress_extrapolation_factor(design.stress_design, model) * time_factor)
+    _require_finite_criterion(criterion)
+    return criterion
 
 
 def numeric_destructive_time_design(

@@ -12,14 +12,17 @@ grid, and the extrapolation time.
 Caps of at most 1/p (k >= p measurements per unit): pair exchange with an
 exact step (REX; Harman, Filova & Richtarik 2020), started from the cap-1
 optimum spread to the cap, in the basis where that start's information is
-the identity (one QR).  Weight moves from the supported point of lowest
-sensitivity phi to the unsaturated point of highest phi, then between
-interior points, each time by the exact line minimum; each step factorizes
-the p x p information summed over the current support only.  Cap 1 (k = 1):
-Elfving's linear program by a p-row simplex, whose optimum may be singular.
-Every result carries a first-order (KKT) certificate from the bounded-design
-equivalence theorem (Sahm & Schwabe 2001): phi must be largest on saturated
-points, constant on interior points, and smallest on zero-weight points.
+the identity (one R factor of its weighted rows by modified Gram-Schmidt, as
+accurate as a QR, where a Cholesky factor of the information would square
+their condition number, up to 1.3e10 in range).  Weight moves from the
+supported point of lowest sensitivity phi to the unsaturated point of
+highest phi, then between interior points, each time by the exact line
+minimum; each step factorizes the p x p information summed over the current
+support only.  Cap 1 (k = 1): Elfving's linear program by a p-row simplex,
+whose optimum may be singular.  Every result carries a first-order (KKT)
+certificate from the bounded-design equivalence theorem (Sahm & Schwabe
+2001): phi must be largest on saturated points, constant on interior points,
+and smallest on zero-weight points.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criteria import _christoffel, _require_t_star, _span_coefficients
+from .criteria import _christoffel, _require_finite_criterion, _require_t_star, _span_coefficients
 from .errors import InfeasibleDesignError, SingularDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -237,11 +240,15 @@ class _CappedCProblem:
         them at the cap and the remainder on the next free point, so the
         weights sum to sum u = 1.  On tight grids, where the blocks overlap,
         a remainder that finds no free point goes to the nearest points with
-        room.  Then V and c map to V R^-1 and c R^-1, R from the QR of the
-        weighted rows sqrt(w_S) V_S (Golub & Van Loan, section 5.3): c' M^-1 c
+        room.  Then V and c map to V R^-1 and c R^-1, R the triangular factor
+        of the weighted rows sqrt(w_S) V_S by modified Gram-Schmidt: c' M^-1 c
         and phi do not change (Pukelsheim 1993), but a start clustered around
         a nearly one-point optimum (t* <= 1 near a grid point) no longer
-        prices the steps by an ill-conditioned factor.  A rank drop in R
+        prices the steps by an ill-conditioned factor.  Modified Gram-Schmidt
+        gives an R as accurate as Householder QR's (Bjorck 1967; Golub & Van
+        Loan, section 5.2); the Cholesky factor of the start's information
+        would square the condition number of those rows, which reaches 1.3e10
+        on grids in range (cubic, J = 1000, k = 4, t* = 1).  A rank drop in R
         means dependent candidates.
         """
         n, cap = self.n, self.cap
@@ -264,8 +271,14 @@ class _CappedCProblem:
         w = self.w
         w[list(weight)] = list(weight.values())
         self.S = np.flatnonzero(w > 0.0)
-        R = np.linalg.qr(np.sqrt(w[self.S])[:, None] * self.V[self.S], mode="r")
-        diagonal = np.abs(R.diagonal()).tolist()
+        A, R = np.sqrt(w[self.S])[:, None] * self.V[self.S], np.zeros((self.p, self.p))
+        for i in range(self.p):
+            R[i, i] = norm = math.sqrt(A[:, i] @ A[:, i])
+            if norm > 0.0:  # a zero column is a rank drop, which the test below reports
+                A[:, i] /= norm
+            R[i, i + 1 :] = A[:, i] @ A[:, i + 1 :]
+            A[:, i + 1 :] -= np.outer(A[:, i], R[i, i + 1 :])
+        diagonal = R.diagonal().tolist()
         if not min(diagonal) > self.p * 2.0**-52 * max(diagonal):
             raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
         R_inv = np.linalg.inv(R)
@@ -348,13 +361,16 @@ def optimize_capped_weights(
     do not count).  Where the optimum is not unique, the exchange returns
     the first certified design it reaches from that start.
 
-    Cost: the start takes the simplex's pivots, one QR and one Cholesky
-    factorization; each exchange step takes one factorization of the p x p
-    information matrix, summed over the support S, per trial design, plus
-    O(n p) per round for the sensitivities; the certificate takes one
-    factorization.  The iterate's factor is carried, so an accepted trial
-    is never factorized again.  The simplex takes one p x p inverse and
-    O(n p) pricing per pivot, a few pivots on power bases.
+    Cost: the start takes the simplex's pivots, one R factor of its
+    weighted rows by modified Gram-Schmidt (as accurate as a QR; a Cholesky
+    factor of its information would square their condition number, up to
+    1.3e10 in range) and one Cholesky factorization; each exchange step
+    takes one factorization of the p x p information matrix, summed over
+    the support S, per trial design, plus O(n p) per round for the
+    sensitivities; the certificate takes one factorization.  The iterate's
+    factor is carried, so an accepted trial is never factorized again.  The
+    simplex takes one p x p inverse and O(n p) pricing per pivot, a few
+    pivots on power bases.
     """
     problem = _CappedCProblem(vectors, c, cap)
     if cap >= 1.0:  # phi_j = (v_j' y)^2 from the simplex's dual y
@@ -471,7 +487,9 @@ def _time_problem(model: DegradationModel, grid_points: np.ndarray, t_star: floa
     # free of the random-coefficient covariance.
     sigma_eps = model.sigma_eps
     vectors = model.time_basis.evaluate_many(grid_points) / sigma_eps
-    c = model.time_basis.evaluate(t_star)
+    with np.errstate(over="ignore"):
+        c = model.time_basis.evaluate(t_star)
+    _require_finite_criterion(c.max())  # an infinite power of t* overflows every criterion
     return vectors, c
 
 
@@ -530,12 +548,17 @@ def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) 
     """Sensitivity phi_j = (c' M^-1 v_j)^2 / (c' M^-1 c) of every row v_j of vectors.
 
     M = sum_j w_j v_j v_j' is the information of the weights; phi is the
-    quantity the engine's certificate orders, and sum_j w_j phi_j = 1.
+    quantity the engine's certificate orders, and sum_j w_j phi_j = 1.  A
+    c' M^-1 c that overflows raises ValidationError, a singular M
+    InfeasibleDesignError.
     """
     problem, w = _CappedCProblem(vectors, c, 1.0), np.asarray(weights, dtype=float)
-    _, phi = problem.criterion_and_sensitivity(problem.cholesky(w, np.flatnonzero(w > 0.0)))
-    if phi is None:
+    L = problem.cholesky(w, np.flatnonzero(w > 0.0))
+    if L is None:
         raise InfeasibleDesignError("design information is singular for the target direction")
+    with np.errstate(over="ignore"):
+        crit, phi = problem.criterion_and_sensitivity(L)
+    _require_finite_criterion(crit)  # M is regular, so phi is None only when c' M^-1 c overflowed
     return phi
 
 
@@ -567,7 +590,8 @@ def kkt_check(
     nearly so for optimal plans that put weights near 0 or a single point
     at t*.  A dual optimum prices every optimal plan alike, so the plan's
     criterion excess over the simplex optimum, relative and both by
-    criteria._christoffel, counts as a violation too.
+    criteria._christoffel, counts as a violation too.  A t* so far out that
+    the plan's criterion overflows raises ValidationError.
     """
     _require_t_star(t_star)
     pts = grid.points()
@@ -580,6 +604,7 @@ def kkt_check(
         score = _christoffel(pts, w, t_star, model.p2)
     except SingularDesignError:
         raise InfeasibleDesignError("design information is singular for the target direction") from None
+    _require_finite_criterion(score)
     excess = score / _christoffel(pts, u, t_star, model.p2) - 1.0
     return _certificate(w, g * g, grid.cap, iterations=0, excess=excess)
 

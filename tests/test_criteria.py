@@ -128,6 +128,15 @@ class TestCriterion:
         with pytest.raises(SingularDesignError, match="direction"):
             c_criterion_time(one_point, table1, T_MEDIAN)
 
+    @pytest.mark.parametrize("t_star", [1e160, 1e300])
+    def test_overflowing_criterion_refused(self, table1: DegradationModel, t_star: float) -> None:
+        # A finite t* this far out once gave criterion_total inf beside an
+        # overflow RuntimeWarning, and efficiency NaN.
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            c_criterion_time(TAU0, table1, t_star)
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            efficiency(TAU0, TAU0, table1, t_star)
+
     def test_t_star_must_be_positive(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
             c_criterion_time(TAU0, table1, 0.0)

@@ -306,6 +306,13 @@ class TestSingleObsInformation:
         val = c_criterion_single_obs(zeta, table1, T_MEDIAN)
         assert val == pytest.approx(0.12030595327704464, rel=1e-12)
 
+    @pytest.mark.parametrize("t_star", [1e160, 1e300])
+    def test_overflowing_criterion_refused(self, table1: DegradationModel, t_star: float) -> None:
+        # The time factor overflowed to inf, and the efficiency command printed NaN.
+        zeta = product_design(elfving_stress_design(table1), elfving_time_design(table1, t_star))
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            c_criterion_single_obs(zeta, table1, t_star)
+
     def test_matches_kronecker_reference_on_random_affine_models(self) -> None:
         rng = np.random.default_rng(8)
         for _ in range(25):

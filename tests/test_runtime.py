@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import adtplan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -38,17 +40,20 @@ def test_import_defers_yaml_and_statistics() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_planning_never_calls_eigvalsh() -> None:
+@pytest.mark.parametrize("routine", ["eigvalsh", "qr"])
+def test_planning_never_calls(routine: str) -> None:
     # Every covariance, information matrix and factor is checked by Cholesky,
-    # so a planning process never pages in LAPACK's symmetric eigensolver.
+    # and the capped exchange's start takes its R factor by modified
+    # Gram-Schmidt, so a planning process never pages in LAPACK's symmetric
+    # eigensolver or its Householder QR.
     src = os.path.dirname(os.path.dirname(os.path.abspath(adtplan.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     code = (
         "import numpy as np\n"
         "def refuse(*args, **kwargs):\n"
-        "    raise AssertionError('numpy.linalg.eigvalsh was called')\n"
-        "np.linalg.eigvalsh = refuse\n"
+        f"    raise AssertionError('numpy.linalg.{routine} was called')\n"
+        f"np.linalg.{routine} = refuse\n"
         "from adtplan import GridSpec, default_sweep_spec, load_scenario, median_failure_time\n"
         "from adtplan import numeric_destructive_time_design, optimize_time_plan, sweep_efficiency\n"
         "from conftest import quadratic_model\n"

@@ -33,7 +33,7 @@ from adtplan import (
     weighted_f2,
 )
 from adtplan.criteria import _christoffel
-from adtplan.timeplan import design_sensitivity
+from adtplan.timeplan import _CappedCProblem, design_sensitivity
 from conftest import T_MEDIAN, cubic_model, quadratic_model
 from oracles import (
     best_exact_rounding,
@@ -124,26 +124,26 @@ class TestGridSpec:
 # no information matrix.
 _PINNED_PLANS = [
     (
-        "affine", 100, 3, 1.1, 1, 9.658940314238862e-15,
+        "affine", 100, 3, 1.1, 1, 4.6629367034256575e-15,
         (0, 98, 99, 100),
-        {0: 0.09189249470279924, 98: 0.24144083863053417},
+        {0: 0.0918924947027992, 98: 0.2414408386305342},
         3,
     ),
     (
         "quadratic", 294, 24, 2.391, 33, 7.783943178907293e-08,
         (0, 1, 2, 3, 4, 139, 140, *range(141, 153), *range(287, 295)),
         {
-            4: 0.023359362595504776,
-            139: 1.2509194746279139e-06,
-            152: 0.0037487573842431834,
-            287: 0.014557295767444153,
+            4: 0.023359362595504803,
+            139: 1.2509194746509527e-06,
+            152: 0.003748757384243116,
+            287: 0.014557295767444162,
         },
         35,
     ),
     (
-        "cubic", 62, 7, 1.343, 30, 7.147613090285887e-08,
+        "cubic", 62, 7, 1.343, 30, 7.147643654725755e-08,
         (0, 15, 16, 45, 46, 47, 61, 62),
-        {0: 0.0912406369768173, 16: 0.0806166953646977, 47: 0.1138569533727709},
+        {0: 0.09124063697681731, 16: 0.08061669536469758, 47: 0.11385695337277099},
         32,
     ),
     (
@@ -299,10 +299,21 @@ class TestExchangeEngine:
     def test_dependent_start_raises(self) -> None:
         # Four copies of (1, 0): the simplex's spaced start basis, rows 0 and
         # 5, is independent, but the cap-1 optimum spread to the cap 1/4
-        # lands on those copies alone, and the start's QR shows the rank drop.
+        # lands on those copies alone, and the start's R factor shows the rank drop.
         vectors = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(InfeasibleDesignError, match="singular start: some p candidate vectors are linearly dependent"):
             optimize_capped_weights(vectors, np.array([1.0, 0.0]), 0.25)
+
+    @pytest.mark.parametrize("J, k, t_star, tol", [(1000, 4, 1.0, 1e-6), (62, 7, 1.343, 1e-13)])
+    def test_start_information_is_the_identity(self, J: int, k: int, t_star: float, tol: float) -> None:
+        # spread() maps V to V R^-1, R by modified Gram-Schmidt on the start's
+        # weighted rows.  At (1000, 4, 1.0) those rows have condition number
+        # 1.3e10; a Cholesky factor of their information would square it.
+        basis = PowerBasis(3)
+        problem = _CappedCProblem(basis.evaluate_many(np.arange(J + 1) / J) / 0.048, basis.evaluate(t_star), 1.0 / k)
+        problem.spread()
+        V, w = problem.V[problem.S], problem.w[problem.S]
+        assert np.abs((V * w[:, None]).T @ V - np.eye(4)).max() <= tol
 
     def test_singular_trial_restores_the_iterate(
         self, table1: DegradationModel, monkeypatch: pytest.MonkeyPatch
@@ -632,6 +643,22 @@ class TestKktCheck:
         cert = kkt_check(design, GridSpec(J=20, k=6), table1, T_MEDIAN)
         assert cert.certified
         assert len(cert.sensitivity) == 21
+
+    @pytest.mark.parametrize("t_star", [1e160, 1e300])
+    @pytest.mark.parametrize("k", [6, 1])
+    def test_overflowing_criterion_refused(self, table1: DegradationModel, k: int, t_star: float) -> None:
+        # Capped, design_sensitivity read the overflowed c' M^-1 c as a
+        # singular design; at cap 1 the criterion excess inf / inf was NaN,
+        # which no comparison counts as a violation, and the check passed.
+        design = TAU0 if k == 6 else ApproximateDesign(points=(0.0, 1.0), weights=(0.5, 0.5))
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            kkt_check(design, GridSpec(J=20, k=k), table1, t_star)
+        vectors, c = table1.time_basis.evaluate_many(np.array(TAU0.points)), table1.time_basis.evaluate(t_star)
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            design_sensitivity(vectors, c, np.array(TAU0.weights))
+        # On the quadratic basis t*^2 itself overflowed, with a RuntimeWarning.
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            kkt_check(design, GridSpec(J=20, k=k), quadratic_model(), t_star)
 
     def test_design_must_live_on_grid(self, table1: DegradationModel) -> None:
         grid = GridSpec(J=20, k=6)
