@@ -83,6 +83,14 @@ def _require_finite_criterion(value: float) -> None:
         raise ValidationError("criterion c' M^-1 c overflows; c is too large")
 
 
+def _target(model: DegradationModel, t_star: float) -> np.ndarray:
+    """f2(t*), the target of both grid engines; ValidationError when a power of t* overflows."""
+    with np.errstate(over="ignore"):
+        c = model.time_basis.evaluate(t_star)
+    _require_finite_criterion(c.max())  # an infinite power of t* overflows every criterion
+    return c
+
+
 def _require_rank(support: np.ndarray, dim: int, var: str) -> None:
     """The count rule: raise unless the positive-weight points span a power basis of size dim."""
     if support.size < dim:
@@ -96,9 +104,17 @@ _SPAN_TOL = 1e-12
 
 
 def _span_coefficients(columns: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Least-squares x of columns @ x = target when it meets _SPAN_TOL relative, else None."""
+    """Least-squares x of columns @ x = target when it meets _SPAN_TOL relative, else None.
+
+    Both norms are taken after scaling by the power of two that brings the
+    target's largest entry into [0.5, 1): exact in binary floating point, so
+    no decision in range moves, and a huge target's norm cannot overflow to
+    inf, which every residual would meet.
+    """
     x = np.linalg.lstsq(columns, target, rcond=None)[0]
-    return x if np.linalg.norm(columns @ x - target) <= _SPAN_TOL * np.linalg.norm(target) else None
+    exponent = -np.frexp(np.abs(target).max())[1]
+    residual, scaled = np.ldexp(columns @ x - target, exponent), np.ldexp(target, exponent)
+    return x if np.linalg.norm(residual) <= _SPAN_TOL * np.linalg.norm(scaled) else None
 
 
 def _christoffel(points: np.ndarray, q: np.ndarray, target: float, dim: int) -> float:

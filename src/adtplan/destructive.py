@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _christoffel, _require_finite_criterion, _require_t_star, stress_extrapolation_factor
+from .criteria import _christoffel, _require_finite_criterion, _require_t_star, _target, stress_extrapolation_factor
 from .errors import OutOfRegimeError, ValidationError
 from .failure_time import sigma_u2
 from .model import ApproximateDesign, DegradationModel
@@ -184,6 +184,7 @@ def numeric_destructive_time_design(
     Elfving's linear program over f2~(t) on the grid (cap 1), whose optimum
     at a t* <= 1 on the grid is the one-point design there.  On affine
     models with t* > 1 this reproduces elfving_time_design to grid resolution.
+    A t* so far out that a power of it overflows raises ValidationError.
     """
     _require_t_star(t_star)
     if grid is None:
@@ -193,5 +194,5 @@ def numeric_destructive_time_design(
             f"destructive designs are uncapped; grid must have k=1, got k={grid.k}"
         )
     pts = grid.points()
-    w, cert = optimize_capped_weights(weighted_f2(pts, model), model.time_basis.evaluate(t_star), 1.0, cfg)
+    w, cert = optimize_capped_weights(weighted_f2(pts, model), _target(model, t_star), 1.0, cfg)
     return support_design(pts, w, 1.0, cert.tol), cert

@@ -12,17 +12,18 @@ grid, and the extrapolation time.
 Caps of at most 1/p (k >= p measurements per unit): pair exchange with an
 exact step (REX; Harman, Filova & Richtarik 2020), started from the cap-1
 optimum spread to the cap, in the basis where that start's information is
-the identity (one R factor of its weighted rows by modified Gram-Schmidt, as
-accurate as a QR, where a Cholesky factor of the information would square
-their condition number, up to 1.3e10 in range).  Weight moves from the
-supported point of lowest sensitivity phi to the unsaturated point of
-highest phi, then between interior points, each time by the exact line
-minimum; each step factorizes the p x p information summed over the current
-support only.  Cap 1 (k = 1): Elfving's linear program by a p-row simplex,
-whose optimum may be singular.  Every result carries a first-order (KKT)
-certificate from the bounded-design equivalence theorem (Sahm & Schwabe
-2001): phi must be largest on saturated points, constant on interior points,
-and smallest on zero-weight points.
+the identity (modified Gram-Schmidt on the columns of [V; c] maps them
+there in place, as accurate as a QR, where a Cholesky factor of the
+information would square the condition number, up to 1.3e10 in range).
+Weight moves from the supported point of lowest sensitivity phi to the
+unsaturated point of highest phi, then between interior points, each time
+by the exact line minimum; each step factorizes the p x p information
+summed over the current support only.  Cap 1 (k = 1): Elfving's linear
+program by a p-row simplex that solves with its basis; the optimum may be
+singular.  Every result carries a first-order (KKT) certificate from the
+bounded-design equivalence theorem (Sahm & Schwabe 2001): phi must be
+largest on saturated points, constant on interior points, and smallest on
+zero-weight points.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .criteria import _christoffel, _require_finite_criterion, _require_t_star, _span_coefficients
+from .criteria import _christoffel, _require_finite_criterion, _require_t_star, _span_coefficients, _target
 from .errors import InfeasibleDesignError, SingularDesignError, ValidationError
 from .model import ApproximateDesign, DegradationModel
 
@@ -55,8 +56,9 @@ __all__ = [
 _TOL = 1e-7
 
 # Elfving's simplex: a relative change below _LP_TOL counts as none (in a
-# price against 1 or the objective); pivots need d_i > _PIVOT_TOL max|d|.
-_LP_TOL, _PIVOT_TOL = 1e-12, 1e-9
+# price against 1 or the objective); pivots need d_i > _PIVOT_TOL max|d|, and
+# it stops after _MAX_PIVOTS of them (a few suffice on power bases).
+_LP_TOL, _PIVOT_TOL, _MAX_PIVOTS = 1e-12, 1e-9, 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,19 +242,21 @@ class _CappedCProblem:
         them at the cap and the remainder on the next free point, so the
         weights sum to sum u = 1.  On tight grids, where the blocks overlap,
         a remainder that finds no free point goes to the nearest points with
-        room.  Then V and c map to V R^-1 and c R^-1, R the triangular factor
-        of the weighted rows sqrt(w_S) V_S by modified Gram-Schmidt: c' M^-1 c
-        and phi do not change (Pukelsheim 1993), but a start clustered around
-        a nearly one-point optimum (t* <= 1 near a grid point) no longer
-        prices the steps by an ill-conditioned factor.  Modified Gram-Schmidt
-        gives an R as accurate as Householder QR's (Bjorck 1967; Golub & Van
-        Loan, section 5.2); the Cholesky factor of the start's information
-        would square the condition number of those rows, which reaches 1.3e10
-        on grids in range (cubic, J = 1000, k = 4, t* = 1).  A rank drop in R
+        room.  Then modified Gram-Schmidt on the columns of [V; c], in the
+        start's inner product sum_S w_j x_j y_j, maps V and c to V R^-1 and
+        c R^-1 in place, R the triangular factor of the weighted rows
+        sqrt(w_S) V_S, whose diagonal the same column operations give:
+        c' M^-1 c and phi do not change (Pukelsheim 1993), but a start
+        clustered around a nearly one-point optimum (t* <= 1 near a grid
+        point) no longer prices the steps by an ill-conditioned factor.  This
+        is as accurate as Householder QR (Bjorck 1967; Golub & Van Loan,
+        section 5.2); the Cholesky factor of the start's information would
+        square the condition number of those rows, which reaches 1.3e10 on
+        grids in range (cubic, J = 1000, k = 4, t* = 1).  A rank drop in R
         means dependent candidates.
         """
         n, cap = self.n, self.cap
-        u, _, _ = _elfving_pivots(_CappedCProblem(self.V, self.c, 1.0), OptimizerConfig().max_iters, None)
+        u, _, _ = _elfving_pivots(self.V, self.c)
         weight: dict[int, float] = {}
         for s, us in zip(np.flatnonzero(u).tolist(), u[u > 0.0].tolist()):
             full = math.floor(us / cap)
@@ -270,21 +274,19 @@ class _CappedCProblem:
                     break
         w = self.w
         w[list(weight)] = list(weight.values())
-        self.S = np.flatnonzero(w > 0.0)
-        A, R = np.sqrt(w[self.S])[:, None] * self.V[self.S], np.zeros((self.p, self.p))
-        for i in range(self.p):
-            R[i, i] = norm = math.sqrt(A[:, i] @ A[:, i])
+        S = self.S = np.flatnonzero(w > 0.0)
+        columns, diagonal = np.column_stack([self.V.T, self.c]), []  # the columns of [V; c], as rows
+        for i, x in enumerate(columns):
+            norm = math.sqrt((w[S] * x[S]) @ x[S])
+            diagonal.append(norm)
             if norm > 0.0:  # a zero column is a rank drop, which the test below reports
-                A[:, i] /= norm
-            R[i, i + 1 :] = A[:, i] @ A[:, i + 1 :]
-            A[:, i + 1 :] -= np.outer(A[:, i], R[i, i + 1 :])
-        diagonal = R.diagonal().tolist()
+                x /= norm
+            columns[i + 1 :] -= np.outer(columns[i + 1 :, S] @ (w[S] * x[S]), x)
         if not min(diagonal) > self.p * 2.0**-52 * max(diagonal):
             raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
-        R_inv = np.linalg.inv(R)
-        self.V, self.c = self.V @ R_inv, self.c @ R_inv
-        self.stack = np.vstack([self.V, self.c])
-        self.L = self.cholesky(w, self.S)
+        self.stack = columns.T
+        self.V, self.c = self.stack[:-1], self.stack[-1]
+        self.L = self.cholesky(w, S)
 
 
 def _nearest(s: int, n: int) -> Iterator[int]:
@@ -361,20 +363,20 @@ def optimize_capped_weights(
     do not count).  Where the optimum is not unique, the exchange returns
     the first certified design it reaches from that start.
 
-    Cost: the start takes the simplex's pivots, one R factor of its
-    weighted rows by modified Gram-Schmidt (as accurate as a QR; a Cholesky
-    factor of its information would square their condition number, up to
-    1.3e10 in range) and one Cholesky factorization; each exchange step
-    takes one factorization of the p x p information matrix, summed over
-    the support S, per trial design, plus O(n p) per round for the
-    sensitivities; the certificate takes one factorization.  The iterate's
-    factor is carried, so an accepted trial is never factorized again.  The
-    simplex takes one p x p inverse and O(n p) pricing per pivot, a few
-    pivots on power bases.
+    Cost: the start takes the simplex's pivots, one pass of modified
+    Gram-Schmidt that maps [V; c] to its basis, O(n p^2) (as accurate as a
+    QR; a Cholesky factor of its information would square the condition
+    number of its weighted rows, up to 1.3e10 in range), and one Cholesky
+    factorization; each exchange step takes one factorization of the p x p
+    information matrix, summed over the support S, per trial design, plus
+    O(n p) per round for the sensitivities; the certificate takes one
+    factorization.  The iterate's factor is carried, so an accepted trial
+    is never factorized again.  The simplex takes three p x p solves with
+    its basis and O(n p) pricing per pivot, a few pivots on power bases.
     """
     problem = _CappedCProblem(vectors, c, cap)
     if cap >= 1.0:  # phi_j = (v_j' y)^2 from the simplex's dual y
-        w, g, pivots = _elfving_pivots(problem, cfg.max_iters, callback)
+        w, g, pivots = _elfving_pivots(problem.V, problem.c, cfg.max_iters, callback)
         return w, _certificate(w, g * g, problem.cap, pivots)
     if problem.n * cap < 1.0 - 1e-12:
         raise InfeasibleDesignError(f"cap {cap} over {problem.n} candidate points cannot reach total weight 1")
@@ -420,19 +422,21 @@ def optimize_capped_weights(
 
 
 def _elfving_pivots(
-    problem: _CappedCProblem,
-    max_pivots: int,
-    callback: Callable[[int, float, np.ndarray], None] | None,
+    V: np.ndarray,
+    c: np.ndarray,
+    max_pivots: int = _MAX_PIVOTS,
+    callback: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Uncapped c-optimal weights |u| / sum |u| from min sum |u_j| s.t. sum u_j v_j = c (Elfving 1952).
 
-    Revised simplex over the signed columns +-v_j (Harman & Jurik 2008); a
-    basic column keeps its sign while its value is 0.  The dual y of B' y = 1
-    prices: the largest |v_j' y| enters, or the first above 1 (Bland) once
+    Revised simplex over the signed columns +-v_j (Harman & Jurik 2008) by
+    solves with the basis B, never its inverse: B x = c, B' y = 1 and
+    B d = v_j.  A basic column keeps its sign while its value is 0.  The dual
+    y prices: the largest |v_j' y| enters, or the first above 1 (Bland) once
     degenerate pivots revisit a basis.  At the optimum all |v_j' y| <= 1.
     Returns the weights, the prices g = V y and the number of pivots.
     """
-    V, c, n, p = problem.V, problem.c, problem.n, problem.p
+    n, p = V.shape
     # Start from round(linspace(0, n - 1, p)), signed by the solution there:
     # on a power basis over distinct times a row-scaled Vandermonde matrix.
     basis = np.array([round(i * (n - 1) / max(p - 1, 1)) for i in range(p)])
@@ -444,8 +448,7 @@ def _elfving_pivots(
     iteration, bland, total, seen = 0, False, math.nan, set()
     while True:
         B = V[basis].T * sign
-        B_inv = np.linalg.inv(B)
-        x = np.maximum(B_inv @ c, 0.0)
+        x = np.maximum(np.linalg.solve(B, c), 0.0)
         # Small values are degenerate zeros if the other columns give c to
         # rounding: the span test criteria._christoffel applies to supports.
         small = x <= _TOL * x.sum()
@@ -457,7 +460,7 @@ def _elfving_pivots(
         total = x.sum() if iteration == 0 else total
         if callback is not None:
             callback(iteration, total * total, w.copy())
-        g = V @ B_inv.sum(axis=0)
+        g = V @ np.linalg.solve(B.T, np.ones(p))
         g[basis] = sign  # exactly, as B' y = 1 says: rounding must not price them in
         over = np.flatnonzero(np.abs(g) > 1.0 + _LP_TOL)
         state = ((basis + 1) * sign).tobytes()
@@ -468,7 +471,7 @@ def _elfving_pivots(
             bland, seen = True, set()
         j = over[0] if bland else over[np.argmax(np.abs(g[over]))]
         s = math.copysign(1.0, g[j])
-        d = B_inv @ (s * V[j])
+        d = np.linalg.solve(B, s * V[j])
         rows = np.flatnonzero(d > _PIVOT_TOL * np.abs(d).max())
         ratio = x[rows] / d[rows]
         ties = rows[ratio == ratio.min()]
@@ -485,12 +488,7 @@ def _elfving_pivots(
 def _time_problem(model: DegradationModel, grid_points: np.ndarray, t_star: float) -> tuple[np.ndarray, np.ndarray]:
     # Only the time basis and the error level enter: the optimal plan is
     # free of the random-coefficient covariance.
-    sigma_eps = model.sigma_eps
-    vectors = model.time_basis.evaluate_many(grid_points) / sigma_eps
-    with np.errstate(over="ignore"):
-        c = model.time_basis.evaluate(t_star)
-    _require_finite_criterion(c.max())  # an infinite power of t* overflows every criterion
-    return vectors, c
+    return model.time_basis.evaluate_many(grid_points) / model.sigma_eps, _target(model, t_star)
 
 
 def optimize_time_plan(
@@ -599,7 +597,7 @@ def kkt_check(
     vectors, c = _time_problem(model, pts, t_star)
     if grid.cap < 1.0:
         return _certificate(w, design_sensitivity(vectors, c, w), grid.cap, iterations=0)
-    u, g, _ = _elfving_pivots(_CappedCProblem(vectors, c, 1.0), OptimizerConfig().max_iters, None)
+    u, g, _ = _elfving_pivots(vectors, c)
     try:
         score = _christoffel(pts, w, t_star, model.p2)
     except SingularDesignError:

@@ -181,6 +181,24 @@ def low_t_draws(seed: int = 20261018, n: int = 150, t_seed: int = 5) -> list[tup
     ]
 
 
+def low_t_grid_family() -> list[tuple[int, int, int, float]]:
+    """360 capped time-plan problems (degree, J, k, t*) with t* <= 1 at round and near-grid values.
+
+    Degrees 1-3, J in {100, 200, 500, 1000}, k in {p, p + 1, p + 2} with
+    p = degree + 1, and ten t* per J: 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0,
+    0.123456, 0.5 + 1e-9 and the midpoint 0.3 + 0.5/J between two grid
+    points.  Some of them run the exchange to its step budget uncertified;
+    engine changes report how many certify per degree.
+    """
+    return [
+        (degree, J, k, t_star)
+        for degree in (1, 2, 3)
+        for J in (100, 200, 500, 1000)
+        for k in range(degree + 1, degree + 4)
+        for t_star in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 0.123456, 0.5 + 1e-9, 0.3 + 0.5 / J)
+    ]
+
+
 def info_single_obs(design: ProductDesign, model: DegradationModel) -> np.ndarray:
     """Full single-observation information of a destructive design, point by point.
 

@@ -137,6 +137,15 @@ class TestCriterion:
         with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
             efficiency(TAU0, TAU0, table1, t_star)
 
+    @pytest.mark.parametrize("t_star", [1e100, 1e150])
+    def test_singular_design_at_a_huge_t_star_is_named_singular(self, t_star: float) -> None:
+        # At 1e100 the span test's target norm, over (1, t*, t*^2, t*^3),
+        # overflowed to inf, every residual met it, and the one-point design
+        # was refused as an overflow; at 1e150 t*^3 itself is inf.
+        one_point = ApproximateDesign(points=(1.0,), weights=(1.0,))
+        with pytest.raises(SingularDesignError, match=r"direction \(t - 1\)"):
+            c_criterion_time(one_point, cubic_model(), t_star)
+
     def test_t_star_must_be_positive(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
             c_criterion_time(TAU0, table1, 0.0)

@@ -307,11 +307,22 @@ class TestSingleObsInformation:
         assert val == pytest.approx(0.12030595327704464, rel=1e-12)
 
     @pytest.mark.parametrize("t_star", [1e160, 1e300])
-    def test_overflowing_criterion_refused(self, table1: DegradationModel, t_star: float) -> None:
-        # The time factor overflowed to inf, and the efficiency command printed NaN.
-        zeta = product_design(elfving_stress_design(table1), elfving_time_design(table1, t_star))
-        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
-            c_criterion_single_obs(zeta, table1, t_star)
+    @pytest.mark.parametrize("basis", ["affine", "quadratic", "cubic"])
+    def test_overflowing_criterion_refused(self, table1: DegradationModel, basis: str, t_star: float) -> None:
+        overflow = pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large")
+        if basis == "affine":
+            # The time factor overflowed to inf, and the efficiency command
+            # printed NaN; the grid path's simplex never forms c' M^-1 c.
+            zeta = product_design(elfving_stress_design(table1), elfving_time_design(table1, t_star))
+            with overflow:
+                c_criterion_single_obs(zeta, table1, t_star)
+            design, cert = numeric_destructive_time_design(table1, t_star)
+            assert design.points == (0.0, 1.0) and cert.certified
+            return
+        # t*^2 overflowed in PowerBasis.evaluate with a RuntimeWarning, and the
+        # engine refused the infinite target as not finite.
+        with overflow:
+            numeric_destructive_time_design(quadratic_model() if basis == "quadratic" else cubic_model(), t_star)
 
     def test_matches_kronecker_reference_on_random_affine_models(self) -> None:
         rng = np.random.default_rng(8)

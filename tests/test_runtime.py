@@ -40,12 +40,13 @@ def test_import_defers_yaml_and_statistics() -> None:
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-@pytest.mark.parametrize("routine", ["eigvalsh", "qr"])
+@pytest.mark.parametrize("routine", ["eigvalsh", "qr", "inv"])
 def test_planning_never_calls(routine: str) -> None:
     # Every covariance, information matrix and factor is checked by Cholesky,
-    # and the capped exchange's start takes its R factor by modified
-    # Gram-Schmidt, so a planning process never pages in LAPACK's symmetric
-    # eigensolver or its Householder QR.
+    # the capped exchange's start maps [V; c] by modified Gram-Schmidt, and
+    # Elfving's simplex solves with its basis, so a planning process never
+    # pages in LAPACK's symmetric eigensolver or its Householder QR, and
+    # forms no explicit inverse.
     src = os.path.dirname(os.path.dirname(os.path.abspath(adtplan.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])))

@@ -124,44 +124,44 @@ class TestGridSpec:
 # no information matrix.
 _PINNED_PLANS = [
     (
-        "affine", 100, 3, 1.1, 1, 4.6629367034256575e-15,
+        "affine", 100, 3, 1.1, 1, 5.551115123125783e-15,
         (0, 98, 99, 100),
-        {0: 0.0918924947027992, 98: 0.2414408386305342},
+        {0: 0.09189249470279927, 98: 0.24144083863053412},
         3,
     ),
     (
-        "quadratic", 294, 24, 2.391, 33, 7.783943178907293e-08,
+        "quadratic", 294, 24, 2.391, 34, 4.780403695114899e-08,
         (0, 1, 2, 3, 4, 139, 140, *range(141, 153), *range(287, 295)),
         {
-            4: 0.023359362595504803,
-            139: 1.2509194746509527e-06,
-            152: 0.003748757384243116,
-            287: 0.014557295767444162,
+            4: 0.023364357542438565,
+            139: 0.00011013956516004167,
+            152: 0.0036398859945203053,
+            287: 0.014552283564547774,
         },
-        35,
+        36,
     ),
     (
-        "cubic", 62, 7, 1.343, 30, 7.147643654725755e-08,
+        "cubic", 62, 7, 1.343, 45, 5.156886173640629e-08,
         (0, 15, 16, 45, 46, 47, 61, 62),
-        {0: 0.09124063697681731, 16: 0.08061669536469758, 47: 0.11385695337277099},
-        32,
+        {0: 0.09124063638617971, 16: 0.08061669390477945, 47: 0.11385695542332663},
+        47,
     ),
     (
         "affine", 400, 1, T_MEDIAN, 0, 0.0,
         (0, 400),
-        {0: 0.23154533563279855, 400: 0.7684546643672014},
+        {0: 0.2315453356327985, 400: 0.7684546643672014},
         0,
     ),
     (
         "quadratic", 100, 1, 1.0458251905777058, 1, 0.0,
         (0, 46, 100),
-        {0: 0.03200539626239919, 46: 0.1139490389705531, 100: 0.8540455647670477},
+        {0: 0.03200539626239902, 46: 0.11394903897055306, 100: 0.8540455647670478},
         0,
     ),
     (
         "cubic", 400, 1, 1.05, 2, 0.0,
         (0, 93, 287, 400),
-        {0: 0.029272075468831302, 93: 0.0740667810186036, 287: 0.19211277488099113, 400: 0.704548368631574},
+        {0: 0.029272075468830927, 93: 0.07406678101860133, 287: 0.19211277488099027, 400: 0.7045483686315775},
         0,
     ),
 ]
@@ -306,9 +306,10 @@ class TestExchangeEngine:
 
     @pytest.mark.parametrize("J, k, t_star, tol", [(1000, 4, 1.0, 1e-6), (62, 7, 1.343, 1e-13)])
     def test_start_information_is_the_identity(self, J: int, k: int, t_star: float, tol: float) -> None:
-        # spread() maps V to V R^-1, R by modified Gram-Schmidt on the start's
-        # weighted rows.  At (1000, 4, 1.0) those rows have condition number
-        # 1.3e10; a Cholesky factor of their information would square it.
+        # spread() maps V to V R^-1 by modified Gram-Schmidt on the columns of
+        # [V; c] in the start's inner product, R the factor of its weighted
+        # rows.  At (1000, 4, 1.0) those rows have condition number 1.3e10; a
+        # Cholesky factor of their information would square it.
         basis = PowerBasis(3)
         problem = _CappedCProblem(basis.evaluate_many(np.arange(J + 1) / J) / 0.048, basis.evaluate(t_star), 1.0 / k)
         problem.spread()
