@@ -7,158 +7,30 @@ paths, c-optimal repeated-measures time plans on a uniform grid with a cap
 on the weight each time point may carry, closed-form product designs for
 destructive (single measurement) testing, and sensitivity sweeps of those
 plans against misspecified parameters.
+
+Each library module declares its public names in its own ``__all__``; the
+package re-exports all of them.
 """
 
-from .criteria import (
-    CriterionReport,
-    avar_median,
-    c_criterion_time,
-    efficiency,
-    info_stress,
-    info_time_fixed,
-    info_time_fixed_total,
-    stress_extrapolation_factor,
-)
-from .destructive import (
-    ProductDesign,
-    VarianceFunction,
-    c_criterion_single_obs,
-    elfving_stress_design,
-    elfving_time_design,
-    numeric_destructive_time_design,
-    pi_star_from_ratio,
-    product_design,
-    weighted_f2,
-)
-from .errors import (
-    AdtPlanError,
-    ConfigurationError,
-    DegenerateVarianceError,
-    IndeterminateMarginError,
-    InfeasibleDesignError,
-    NonMonotoneMarginError,
-    NoPositiveMedianError,
-    OutOfRegimeError,
-    ScenarioValidationError,
-    SingularDesignError,
-    ValidationError,
-)
-from .failure_time import (
-    QuantileResult,
-    failure_cdf,
-    h,
-    median_failure_time,
-    mu_aggregate,
-    quantile,
-    sigma_u,
-    sigma_u2,
-)
-from .model import (
-    AFFINE,
-    ApproximateDesign,
-    DegradationModel,
-    ErrorSpec,
-    PowerBasis,
-    assemble_V,
-    eval_delta,
-    sigma_gamma_from_sd_corr,
-)
-from .scenario import OutputSpec, Scenario, load_scenario, parse_scenario, serialize_scenario
-from .sweeps import (
-    ALL_CANDIDATES,
-    CANDIDATE_TAU2,
-    CANDIDATE_TAU6,
-    CANDIDATE_ZETA_STAR,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    default_sweep_spec,
-    reachable_ratio_interval,
-    sweep_efficiency,
-    sweep_pi_star,
-    uniform_time_design,
-    vary_ratio_via_rho,
-)
-from .timeplan import (
-    GridSpec,
-    OptimalityCertificate,
-    OptimizerConfig,
-    kkt_check,
-    optimize_capped_weights,
-    optimize_time_plan,
-    round_to_exact,
-)
+from . import criteria, destructive, errors, failure_time, model, scenario, sweeps, timeplan
+from .criteria import *
+from .destructive import *
+from .errors import *
+from .failure_time import *
+from .model import *
+from .scenario import *
+from .sweeps import *
+from .timeplan import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AFFINE",
-    "ALL_CANDIDATES",
-    "AdtPlanError",
-    "ApproximateDesign",
-    "CANDIDATE_TAU2",
-    "CANDIDATE_TAU6",
-    "CANDIDATE_ZETA_STAR",
-    "ConfigurationError",
-    "CriterionReport",
-    "DegenerateVarianceError",
-    "DegradationModel",
-    "ErrorSpec",
-    "GridSpec",
-    "IndeterminateMarginError",
-    "InfeasibleDesignError",
-    "NoPositiveMedianError",
-    "NonMonotoneMarginError",
-    "OptimalityCertificate",
-    "OptimizerConfig",
-    "OutOfRegimeError",
-    "OutputSpec",
-    "PowerBasis",
-    "ProductDesign",
-    "QuantileResult",
-    "Scenario",
-    "ScenarioValidationError",
-    "SingularDesignError",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "ValidationError",
-    "VarianceFunction",
-    "assemble_V",
-    "avar_median",
-    "c_criterion_single_obs",
-    "c_criterion_time",
-    "default_sweep_spec",
-    "efficiency",
-    "elfving_stress_design",
-    "elfving_time_design",
-    "eval_delta",
-    "failure_cdf",
-    "h",
-    "info_stress",
-    "info_time_fixed",
-    "info_time_fixed_total",
-    "kkt_check",
-    "load_scenario",
-    "median_failure_time",
-    "mu_aggregate",
-    "numeric_destructive_time_design",
-    "optimize_capped_weights",
-    "optimize_time_plan",
-    "parse_scenario",
-    "pi_star_from_ratio",
-    "product_design",
-    "quantile",
-    "reachable_ratio_interval",
-    "round_to_exact",
-    "serialize_scenario",
-    "sigma_gamma_from_sd_corr",
-    "sigma_u",
-    "sigma_u2",
-    "stress_extrapolation_factor",
-    "sweep_efficiency",
-    "sweep_pi_star",
-    "uniform_time_design",
-    "vary_ratio_via_rho",
-    "weighted_f2",
+    *criteria.__all__,
+    *destructive.__all__,
+    *errors.__all__,
+    *failure_time.__all__,
+    *model.__all__,
+    *scenario.__all__,
+    *sweeps.__all__,
+    *timeplan.__all__,
 ]

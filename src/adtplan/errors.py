@@ -8,6 +8,20 @@ friendly to generic callers.
 
 from __future__ import annotations
 
+__all__ = [
+    "AdtPlanError",
+    "ValidationError",
+    "ConfigurationError",
+    "ScenarioValidationError",
+    "DegenerateVarianceError",
+    "IndeterminateMarginError",
+    "NoPositiveMedianError",
+    "NonMonotoneMarginError",
+    "OutOfRegimeError",
+    "SingularDesignError",
+    "InfeasibleDesignError",
+]
+
 
 class AdtPlanError(Exception):
     """Base class for all errors raised by this package."""

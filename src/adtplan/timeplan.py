@@ -140,12 +140,12 @@ def _first_positive_root(a: float, b: float, c: float) -> float:
 class _CappedCProblem:
     """Minimize c' M(w)^-1 c, M(w) = sum_j w_j v_j v_j', over the capped simplex.
 
-    The iterate w, its ascending support S and the lower Cholesky factor L
-    of M(w) travel together: spread() sets them, and a move that
-    accepts a trial design keeps the factor it took of that trial, so each
-    design is factorized once.  M is summed over V[S], so a step costs
-    O(|S| p^2), not a scan of the grid.  spread() also moves V and c to the
-    start's basis and stacks them, [V; c], for the exchange's one gather.
+    The iterate w and the lower Cholesky factor L of M(w) travel together:
+    spread() sets them, and a move that accepts a trial design keeps the
+    factor it took of that trial, so each design is factorized once.  M is
+    summed over the support S of w, so a step costs O(|S| p^2), not a scan
+    of the grid.  spread() also moves V and c to the start's basis and
+    stacks them, [V; c], for the exchange's one gather.
     """
 
     def __init__(self, vectors: np.ndarray, c: np.ndarray, cap: float):
@@ -158,11 +158,11 @@ class _CappedCProblem:
         self.n, self.p = self.V.shape
         self.cap = float(cap)
         self.w = np.zeros(self.n)
-        self.S = np.zeros(0, dtype=np.intp)
         self.L: np.ndarray | None = None
 
-    def cholesky(self, w: np.ndarray, support: np.ndarray) -> np.ndarray | None:
-        """Lower Cholesky factor of M(w), summed over the ascending support of w; None when singular."""
+    def cholesky(self, w: np.ndarray) -> np.ndarray | None:
+        """Lower Cholesky factor of M(w), summed over the support of w; None when singular."""
+        support = np.flatnonzero(w > 0.0)
         V = self.V[support]
         M = (V * w[support][:, None]).T @ V
         try:
@@ -222,16 +222,11 @@ class _CappedCProblem:
         old = w[r], w[d]
         w[r] = self.cap if step == self.cap - w[r] else w[r] + step
         w[d] = 0.0 if empties else w[d] - step
-        S = self.S
-        if old[0] == 0.0:
-            S = np.insert(S, np.searchsorted(S, r), r)
-        if empties:
-            S = S[S != d]
-        L = self.cholesky(w, S)
+        L = self.cholesky(w)
         if L is None:
             w[r], w[d] = old
             return None
-        self.S, self.L = S, L
+        self.L = L
         return decrease
 
     def spread(self) -> None:
@@ -274,7 +269,7 @@ class _CappedCProblem:
                     break
         w = self.w
         w[list(weight)] = list(weight.values())
-        S = self.S = np.flatnonzero(w > 0.0)
+        S = np.flatnonzero(w > 0.0)
         columns, diagonal = np.column_stack([self.V.T, self.c]), []  # the columns of [V; c], as rows
         for i, x in enumerate(columns):
             norm = math.sqrt((w[S] * x[S]) @ x[S])
@@ -286,7 +281,7 @@ class _CappedCProblem:
             raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
         self.stack = columns.T
         self.V, self.c = self.stack[:-1], self.stack[-1]
-        self.L = self.cholesky(w, S)
+        self.L = self.cholesky(w)
 
 
 def _nearest(s: int, n: int) -> Iterator[int]:
@@ -405,14 +400,13 @@ def optimize_capped_weights(
     if callback is not None:
         callback(0, crit, w.copy())
     while iteration < cfg.max_iters:
-        S = problem.S
+        S = np.flatnonzero(w > 0.0)
         d = S[np.argmin(phi[S])]
         open_phi = np.where(w < problem.cap, phi, -np.inf)
         r = int(np.argmax(open_phi))
         if open_phi[r] - phi[d] <= _TOL or not step(problem.exchange, r, d):
             break
-        S = problem.S
-        interior = S[w[S] < problem.cap].tolist()
+        interior = np.flatnonzero((w > 0.0) & (w < problem.cap)).tolist()
         for a, i in enumerate(interior):
             for j in interior[a + 1 :]:
                 step(problem.exchange, i, j, _TOL)
@@ -551,7 +545,7 @@ def design_sensitivity(vectors: np.ndarray, c: np.ndarray, weights: np.ndarray) 
     InfeasibleDesignError.
     """
     problem, w = _CappedCProblem(vectors, c, 1.0), np.asarray(weights, dtype=float)
-    L = problem.cholesky(w, np.flatnonzero(w > 0.0))
+    L = problem.cholesky(w)
     if L is None:
         raise InfeasibleDesignError("design information is singular for the target direction")
     with np.errstate(over="ignore"):

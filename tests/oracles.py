@@ -124,6 +124,38 @@ def elfving_lp_oracle(vectors: np.ndarray, c: np.ndarray) -> tuple[float, np.nda
     return (float(res.fun) / _LP_SCALE) ** 2, (res.x[:n] - res.x[n:]) / _LP_SCALE
 
 
+def pattern_weights(
+    vectors: np.ndarray, c: np.ndarray, cap: float, saturated: list[int], interior: list[int], signs: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Capped c-optimal weights with the given saturated set S and interior set I, by one linear solve.
+
+    At a KKT point of min c' M(w)^-1 c over 0 <= w <= cap, sum w = 1, the
+    vector z = M^-1 c gives every interior point the same |v_i' z| = lambda
+    (Sahm & Schwabe 2001).  With the signs s_i of v_i' z fixed and
+    u_i = w_i lambda, M z = c and sum_I w_i = 1 - cap |S| are linear in
+    (z, u, lambda), p + |I| + 1 equations in as many unknowns:
+
+        sum_S cap v_j v_j' z + sum_I s_i u_i v_i = c,
+        s_i v_i' z = lambda                          for each i in I,
+        sum_I u_i = lambda (1 - cap |S|).
+
+    No iteration and no certificate: the system is singular when I is
+    empty or has more than p points (a flat optimum).  Returns the weights
+    over all rows (cap on S, u_i / lambda on I, 0 elsewhere) and lambda.
+    """
+    V = np.asarray(vectors, dtype=float)
+    p, m = V.shape[1], len(interior)
+    signed = V[interior] * np.asarray(signs, dtype=float)[:, None]
+    system = np.zeros((p + m + 1, p + m + 1))
+    system[:p, :p] = cap * V[saturated].T @ V[saturated]
+    system[:p, p:-1], system[p:-1, :p] = signed.T, signed
+    system[p:-1, -1], system[-1, p:-1], system[-1, -1] = -1.0, 1.0, cap * len(saturated) - 1.0
+    x = np.linalg.solve(system, np.concatenate([c, np.zeros(m + 1)]))
+    w = np.zeros(V.shape[0])
+    w[saturated], w[interior] = cap, x[p:-1] / x[-1]
+    return w, float(x[-1])
+
+
 def best_exact_rounding(design: ApproximateDesign, k: int, model: DegradationModel, t_star: float) -> ApproximateDesign:
     """Best exact k-point plan (weights 1/k) that keeps every saturated point of design.
 

@@ -95,6 +95,10 @@ class TestOptimizeTime:
         main(["optimize-time", "--scenario", str(SCENARIO), "--out", str(out)])
         capsys.readouterr()
         assert [p.name for p in tmp_path.iterdir()] == ["plan.csv"]
+        # A failed rename removes the temporary file it wrote beside the target.
+        assert main(["optimize-time", "--scenario", str(SCENARIO), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["plan.csv"]
 
     def test_budget_exhaustion_exits_three(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
@@ -131,6 +135,10 @@ class TestOptimizeTime:
         code = main(["optimize-time", "--scenario", str(scn)])
         assert code == 2
         assert "grid" in capsys.readouterr().err
+        # check refuses before it reads the design.
+        code = main(["check", "--scenario", str(scn), "--design", str(tmp_path / "unread.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: scenario has no grid section; check needs grid.J and grid.k\n"
 
 
 class TestOptimizeDestructive:

@@ -21,6 +21,7 @@ from adtplan import (
     VarianceFunction,
     c_criterion_single_obs,
     c_criterion_time,
+    candidate_time_designs,
     elfving_stress_design,
     elfving_time_design,
     h,
@@ -37,7 +38,6 @@ from adtplan import (
     vary_ratio_via_rho,
     weighted_f2,
 )
-from adtplan.sweeps import candidate_time_designs
 from conftest import CORNER_RATIO, T_MEDIAN, cubic_model, perturbed_table1, quadratic_model, random_affine_model
 from oracles import (
     efficiencies_40_digits,
@@ -205,6 +205,10 @@ class TestElfvingTimeDesign:
         with pytest.raises(OutOfRegimeError):
             elfving_time_design(table1, 0.9)
 
+    def test_requires_the_affine_time_basis(self) -> None:
+        with pytest.raises(ValidationError, match="Elfving time design requires the affine time basis"):
+            elfving_time_design(quadratic_model(), T_MEDIAN)
+
     @pytest.mark.parametrize("t_star", [0.5, 0.9])
     def test_advised_path_certifies_inside_the_horizon(self, table1: DegradationModel, t_star: float) -> None:
         # The error above sends the caller to the grid optimizer, which once
@@ -241,6 +245,13 @@ class TestElfvingStressDesign:
         for inside in (0.0, 0.5, 1.0):
             with pytest.raises(OutOfRegimeError):
                 elfving_stress_design(dataclasses.replace(table1, x_u=inside))
+
+    def test_requires_the_affine_stress_basis(self, table1: DegradationModel) -> None:
+        quadratic_stress = dataclasses.replace(
+            table1, stress_basis=PowerBasis(2), beta=(2.397, 1.018, 1.629, 0.0696, 0.1, 0.01)
+        )
+        with pytest.raises(ValidationError, match="Elfving stress design requires the affine stress basis"):
+            elfving_stress_design(quadratic_stress)
 
 
 class TestProductDesign:

@@ -156,6 +156,10 @@ class TestMedian:
                     y0=1.0,
                 )
             )
+        # A concave quadratic path that peaks below the threshold.
+        concave = dataclasses.replace(quadratic_model(), beta=(2.397, 1.018, -0.5, 1.629, 0.0696, -0.02))
+        with pytest.raises(NoPositiveMedianError, match="aggregate path never reaches the threshold"):
+            median_failure_time(concave)
 
     def test_random_models_match_cdf_half(self) -> None:
         rng = np.random.default_rng(20240817)

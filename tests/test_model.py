@@ -73,6 +73,8 @@ class TestErrorSpec:
             ErrorSpec(full=((1.0, 2.0), (2.0, 1.0)))
         with pytest.raises(ValidationError):
             ErrorSpec(full=((1.0, 0.5), (0.4, 1.0)))
+        with pytest.raises(ValidationError, match="full error covariance must be a square matrix"):
+            ErrorSpec(full=((1.0, 0.0),))
 
     def test_matrix_dimension_check(self) -> None:
         spec = ErrorSpec(full=((0.01, 0.0), (0.0, 0.01)))
@@ -112,6 +114,16 @@ class TestDegradationModel:
                 time_basis=AFFINE,
                 beta=(1.0, 1.0, 1.0, 1.0),
                 sigma_gamma=((1.0, 2.0), (2.0, 1.0)),
+                error_spec=ErrorSpec(sigma_eps=0.1),
+                x_u=-0.1,
+                y0=2.0,
+            )
+        with pytest.raises(ValidationError, match="sigma_gamma must be symmetric"):
+            DegradationModel(
+                stress_basis=AFFINE,
+                time_basis=AFFINE,
+                beta=(1.0, 1.0, 1.0, 1.0),
+                sigma_gamma=((1.0, 0.5), (0.4, 1.0)),
                 error_spec=ErrorSpec(sigma_eps=0.1),
                 x_u=-0.1,
                 y0=2.0,
@@ -257,6 +269,11 @@ class TestApproximateDesign:
         with pytest.raises(ValidationError):
             ApproximateDesign(points=(0.0, 1.0), weights=(0.5, 0.6))
 
+    @pytest.mark.parametrize("points, weights", [((0.0, 1.0), (1.0,)), ((), ())])
+    def test_one_weight_per_point(self, points: tuple[float, ...], weights: tuple[float, ...]) -> None:
+        with pytest.raises(ValidationError, match="points and weights must be same nonzero length"):
+            ApproximateDesign(points=points, weights=weights)
+
     def test_points_strictly_increasing(self) -> None:
         with pytest.raises(ValidationError):
             ApproximateDesign(points=(0.5, 0.5), weights=(0.5, 0.5))
@@ -279,6 +296,8 @@ class TestApproximateDesign:
         trimmed = design.support()
         assert trimmed.points == (0.0, 1.0)
         assert trimmed.weights == (0.25, 0.75)
+        with pytest.raises(ValidationError, match="support is empty at the requested tolerance"):
+            design.support(0.75)
 
 
 class TestAssembleV:
@@ -295,6 +314,10 @@ class TestAssembleV:
     def test_duplicate_points_rejected(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):
             assemble_V(np.array([0.2, 0.2]), table1)
+
+    def test_needs_a_time_point(self, table1: DegradationModel) -> None:
+        with pytest.raises(ValidationError, match="need at least one time point"):
+            assemble_V(np.array([]), table1)
 
     def test_points_outside_horizon_rejected(self, table1: DegradationModel) -> None:
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """The runtime needs numpy, and PyYAML only to read and write scenarios; scipy serves the test oracles.
 
-The benchmark under bench/ imports and traces adtplan names; they must exist.
+The package re-exports every library module's public names, and the
+benchmark under bench/ imports and traces adtplan names; they must exist.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,41 @@ import adtplan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SCENARIO = BENCH.parent / "scenarios" / "example1.scenario"
+
+# Every module but the command line front end, in the order the package imports them.
+LIBRARY = ("criteria", "destructive", "errors", "failure_time", "model", "scenario", "sweeps", "timeplan")
+# The names the package exported while its __init__ listed them one by one.
+LISTED_EXPORTS = """
+AFFINE ALL_CANDIDATES AdtPlanError ApproximateDesign CANDIDATE_TAU2 CANDIDATE_TAU6
+CANDIDATE_ZETA_STAR ConfigurationError CriterionReport DegenerateVarianceError DegradationModel
+ErrorSpec GridSpec IndeterminateMarginError InfeasibleDesignError NoPositiveMedianError
+NonMonotoneMarginError OptimalityCertificate OptimizerConfig OutOfRegimeError OutputSpec PowerBasis
+ProductDesign QuantileResult Scenario ScenarioValidationError SingularDesignError SweepResult
+SweepRow SweepSpec ValidationError VarianceFunction assemble_V avar_median c_criterion_single_obs
+c_criterion_time default_sweep_spec efficiency elfving_stress_design elfving_time_design eval_delta
+failure_cdf h info_stress info_time_fixed info_time_fixed_total kkt_check load_scenario
+median_failure_time mu_aggregate numeric_destructive_time_design optimize_capped_weights
+optimize_time_plan parse_scenario pi_star_from_ratio product_design quantile
+reachable_ratio_interval round_to_exact serialize_scenario sigma_gamma_from_sd_corr sigma_u sigma_u2
+stress_extrapolation_factor sweep_efficiency sweep_pi_star uniform_time_design vary_ratio_via_rho
+weighted_f2
+""".split()
+
+
+def test_package_reexports_each_module_all() -> None:
+    assert {m.name for m in pkgutil.iter_modules(adtplan.__path__)} == {*LIBRARY, "cli"}
+    modules = [importlib.import_module(f"adtplan.{name}") for name in LIBRARY]
+    assert adtplan.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(adtplan.__all__)) == len(adtplan.__all__)
+    assert [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(adtplan, name) is not getattr(module, name)
+    ] == []
+    assert len(LISTED_EXPORTS) == 69
+    assert set(LISTED_EXPORTS) - set(adtplan.__all__) == set()
+    assert {"candidate_time_designs", "design_sensitivity", "support_design"} <= set(adtplan.__all__)
 
 
 def test_import_loads_no_scipy() -> None:

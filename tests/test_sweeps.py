@@ -17,11 +17,13 @@ from adtplan import (
     ConfigurationError,
     DegradationModel,
     ErrorSpec,
+    OutOfRegimeError,
     SweepRow,
     SweepSpec,
     SweepResult,
     ValidationError,
     VarianceFunction,
+    candidate_time_designs,
     default_sweep_spec,
     elfving_time_design,
     median_failure_time,
@@ -32,7 +34,6 @@ from adtplan import (
     uniform_time_design,
     vary_ratio_via_rho,
 )
-from adtplan.sweeps import candidate_time_designs
 from conftest import CORNER_RATIO, TABLE1, T_MEDIAN, perturbed_table1, quadratic_model
 from oracles import efficiencies_40_digits, sweep_rows_reference
 
@@ -68,6 +69,17 @@ class TestRatioReparameterization:
         with pytest.raises(ValidationError, match=r"0\.39.*1\.80"):
             vary_ratio_via_rho(5.0, table1)
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    def test_non_positive_ratio_rejected(self, table1: DegradationModel, ratio: float) -> None:
+        with pytest.raises(ValidationError, match=f"target ratio must be positive, got {ratio}"):
+            vary_ratio_via_rho(ratio, table1)
+
+    def test_needs_slope_variance(self) -> None:
+        # With sigma2 = 0, rho drops out of sigma(1)/sigma(0).
+        model = perturbed_table1((1.0, 0.0, 1.0), 0.0, TABLE1["x_u"], 2.0)
+        with pytest.raises(ValidationError, match="rho reparameterization needs sigma2 > 0"):
+            vary_ratio_via_rho(NOMINAL_RATIO, model)
+
 
 class TestUniformTimeDesign:
     def test_examples(self) -> None:
@@ -83,6 +95,8 @@ class TestUniformTimeDesign:
 
 class TestSweepSpec:
     def test_defaults(self) -> None:
+        with pytest.raises(ValidationError, match="sweep variable must be one of .*, got 'rho'"):
+            default_sweep_spec("rho")
         spec = default_sweep_spec("t_median")
         assert (spec.lo, spec.hi, spec.n_points) == (1.05, 10.0, 200)
         assert spec.candidates == (CANDIDATE_ZETA_STAR, CANDIDATE_TAU2, CANDIDATE_TAU6)
@@ -188,6 +202,8 @@ class TestSweepEfficiency:
         result = sweep_efficiency(spec, table1)
         col = result.column(CANDIDATE_TAU2)
         assert col.shape == (4,)
+        assert result.column("abscissa").tolist() == [row.abscissa for row in result.rows]
+        assert result.column("pi_star").tolist() == [row.pi_star for row in result.rows]
         with pytest.raises(KeyError):
             result.column(CANDIDATE_TAU6)
 
@@ -315,6 +331,15 @@ class TestSweepEdges:
                 sweep_efficiency(default_sweep_spec(variable), full)
             with pytest.raises(ConfigurationError, match="full error covariance"):
                 sweep_pi_star(default_sweep_spec(variable), full)
+
+    def test_ratio_sweep_needs_a_median_beyond_the_horizon(self, table1: DegradationModel) -> None:
+        spec = default_sweep_spec("sigma_ratio")
+        inside = (perturbed_table1((1.0, 1.0, 1.0), TABLE1["rho"], TABLE1["x_u"], 0.8), table1)
+        specs = (spec, dataclasses.replace(spec, held_fixed=1.0))
+        for model, ratio_spec in zip(inside, specs):
+            for sweep in (sweep_efficiency, sweep_pi_star):
+                with pytest.raises(OutOfRegimeError, match="ratio sweeps need a median beyond the horizon"):
+                    sweep(ratio_spec, model)
 
     def test_nominal_ratio_scores_one(self, table1: DegradationModel) -> None:
         spec = SweepSpec(variable="sigma_ratio", lo=NOMINAL_RATIO, hi=1.5, n_points=3)

@@ -22,6 +22,7 @@ from adtplan import (
     ValidationError,
     VarianceFunction,
     c_criterion_time,
+    design_sensitivity,
     efficiency,
     elfving_time_design,
     kkt_check,
@@ -33,12 +34,13 @@ from adtplan import (
     weighted_f2,
 )
 from adtplan.criteria import _christoffel
-from adtplan.timeplan import _CappedCProblem, design_sensitivity
+from adtplan.timeplan import _CappedCProblem
 from conftest import T_MEDIAN, cubic_model, quadratic_model
 from oracles import (
     best_exact_rounding,
     elfving_lp_oracle,
     low_t_draws,
+    pattern_weights,
     scan_draws,
     time_sensitivity_exact,
     two_point_extrapolation_design,
@@ -263,6 +265,33 @@ class TestExchangeEngine:
         assert failed == []
         assert steps <= 10_000
 
+    def test_certified_plans_solve_their_kkt_system(self) -> None:
+        # pattern_weights solves the KKT conditions of the certificate's
+        # saturated and interior sets by one linear system, without the
+        # engine's iteration or its stopping gap: its weights must be
+        # feasible and score the engine's criterion.  An empty interior set or more than
+        # p interior points (a flat optimum) leaves that system singular;
+        # such plans are counted, not checked.
+        checked, skipped, failed = 0, {"no interior": 0, "flat": 0}, []
+        for degree, J, k, t_star in scan_draws(20261018) + low_t_draws():
+            basis, pts, cap = PowerBasis(degree), np.arange(J + 1) / J, 1.0 / k
+            vectors, c = basis.evaluate_many(pts) / 0.048, basis.evaluate(t_star)
+            w, cert = optimize_capped_weights(vectors, c, cap)
+            assert cert.certified
+            saturated, interior = list(cert.saturated_set), list(cert.interior_set)
+            if not interior or len(interior) > degree + 1:
+                skipped["flat" if interior else "no interior"] += 1
+                continue
+            signs = np.sign(vectors[interior] @ np.linalg.solve((vectors * w[:, None]).T @ vectors, c))
+            oracle, lam = pattern_weights(vectors, c, cap, saturated, interior, signs)
+            ratio = _christoffel(pts, oracle, t_star, degree + 1) / _christoffel(pts, w, t_star, degree + 1)
+            checked += 1
+            feasible = lam > 0.0 and np.all(oracle[interior] > 0.0) and np.all(oracle[interior] < cap)
+            if not (feasible and abs(ratio - 1.0) <= 1e-12):
+                failed.append((degree, J, k, t_star, lam, ratio))
+        assert failed == []
+        assert (checked, skipped) == (338, {"no interior": 67, "flat": 45})
+
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("J, k", [(28, 28), (33, 33), (38, 39)])
     def test_spread_start_fits_tight_caps(self, degree: int, J: int, k: int) -> None:
@@ -313,7 +342,8 @@ class TestExchangeEngine:
         basis = PowerBasis(3)
         problem = _CappedCProblem(basis.evaluate_many(np.arange(J + 1) / J) / 0.048, basis.evaluate(t_star), 1.0 / k)
         problem.spread()
-        V, w = problem.V[problem.S], problem.w[problem.S]
+        S = np.flatnonzero(problem.w > 0.0)
+        V, w = problem.V[S], problem.w[S]
         assert np.abs((V * w[:, None]).T @ V - np.eye(4)).max() <= tol
 
     def test_singular_trial_restores_the_iterate(
@@ -351,6 +381,14 @@ class TestExchangeEngine:
         vectors = PowerBasis(2).evaluate_many(np.arange(11) / 10)
         with pytest.raises(ValidationError, match="between 1/p and 1"):
             optimize_capped_weights(vectors, PowerBasis(2).evaluate(2.0), 0.5)
+        # Nor may the cap be so small that the 11 points cannot carry weight 1.
+        with pytest.raises(InfeasibleDesignError, match="cap 0.05 over 11 candidate points cannot reach total weight 1"):
+            optimize_capped_weights(vectors, PowerBasis(2).evaluate(2.0), 0.05)
+
+    def test_vectors_must_match_the_target(self) -> None:
+        vectors = PowerBasis(2).evaluate_many(np.arange(11) / 10)
+        with pytest.raises(ValidationError, match="vectors must be rows of the same dimension as c"):
+            optimize_capped_weights(vectors, PowerBasis(1).evaluate(2.0), 0.25)
 
     @pytest.mark.parametrize("cap", [1.0, 1 / 6])
     def test_non_finite_target_rejected(self, cap: float) -> None:
@@ -660,6 +698,15 @@ class TestKktCheck:
         # On the quadratic basis t*^2 itself overflowed, with a RuntimeWarning.
         with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
             kkt_check(design, GridSpec(J=20, k=k), quadratic_model(), t_star)
+
+    def test_singular_design_refused(self, table1: DegradationModel) -> None:
+        # One point cannot identify an affine time effect.
+        one_point = ApproximateDesign(points=(1.0,), weights=(1.0,))
+        with pytest.raises(InfeasibleDesignError, match="design information is singular for the target direction"):
+            kkt_check(one_point, GridSpec(J=20, k=6), table1, T_MEDIAN)
+        vectors, c = table1.time_basis.evaluate_many(np.array([0.0, 1.0])), table1.time_basis.evaluate(T_MEDIAN)
+        with pytest.raises(InfeasibleDesignError, match="design information is singular for the target direction"):
+            design_sensitivity(vectors, c, np.array([0.0, 1.0]))
 
     def test_design_must_live_on_grid(self, table1: DegradationModel) -> None:
         grid = GridSpec(J=20, k=6)
