@@ -85,10 +85,10 @@ class ProductDesign:
 
 def weighted_f2(t: float | np.ndarray, model: DegradationModel) -> np.ndarray:
     """Weighted marginal regression function f2(t)/sigma(t); one row per time for an array."""
-    s2 = sigma_u2(t, model) + model.sigma_eps**2
+    s = VarianceFunction(model).sigma(t)
     if np.ndim(t) == 0:
-        return model.time_basis.evaluate(t) / math.sqrt(s2)
-    return model.time_basis.evaluate_many(t) / np.sqrt(s2)[:, None]
+        return model.time_basis.evaluate(t) / s
+    return model.time_basis.evaluate_many(t) / s[:, None]
 
 
 def pi_star_from_ratio(t_star: float, ratio: float) -> float:

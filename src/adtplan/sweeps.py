@@ -31,6 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .criteria import _require_finite_criterion
 from .destructive import (
     VarianceFunction,
     _endpoint_design,
@@ -302,16 +303,19 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
     def variance(u: np.ndarray) -> np.ndarray:  # sigma^2, rows by abscissa, columns by u
         return s00 + 2.0 * s01 * u + s11 * u * u + se2
 
-    sd = np.sqrt(variance(np.array([0.0, 1.0])))
-    best = (sd[:, 0] * (t - 1.0) + sd[:, 1] * t) ** 2
     effs = np.empty((a.size, len(spec.candidates)))
-    for col, name in enumerate(spec.candidates):
-        pts, w = candidates[name].as_arrays()
-        q = w / variance(pts)
-        # Not criteria._christoffel: that moves 301 of 882 reachable golden-sweep cells away from their 40-digit values.
-        i, j = np.triu_indices(pts.size, 1)
-        spread = (q[:, i] * q[:, j] * (pts[i] - pts[j]) ** 2).sum(axis=1)
-        effs[:, col] = best / ((q * (t[:, None] - pts) ** 2).sum(axis=1) / spread)
+    with np.errstate(over="ignore"):  # a t_median far enough out overflows here; refused below
+        sd = np.sqrt(variance(np.array([0.0, 1.0])))
+        best = (sd[:, 0] * (t - 1.0) + sd[:, 1] * t) ** 2
+        for col, name in enumerate(spec.candidates):
+            pts, w = candidates[name].as_arrays()
+            q = w / variance(pts)
+            # Not criteria._christoffel: that moves 301 of 882 reachable golden-sweep cells away from their 40-digit values.
+            i, j = np.triu_indices(pts.size, 1)
+            spread = (q[:, i] * q[:, j] * (pts[i] - pts[j]) ** 2).sum(axis=1)
+            crit = (q * (t[:, None] - pts) ** 2).sum(axis=1) / spread
+            _require_finite_criterion(np.max(crit[reachable], initial=0.0))  # crit >= best, so best is finite too
+            effs[:, col] = best / crit
     effs[~reachable] = math.nan
     return _result(spec, a, t_nom, t_median, ratio, effs, reachable)
 

@@ -228,6 +228,16 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 5
 
+    def test_overflowing_median_sweep_exits_two(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # Medians past about 1e154 overflow the closed forms; the sweep once
+        # printed RuntimeWarnings and blamed a "NaN efficiency on unflagged row".
+        scn = tmp_path / "huge.scenario"
+        scn.write_text(MODEL_ONLY + "sweep:\n  variable: t_median\n  lo: 1.05\n  hi: 1.0e+300\n  n: 20\n")
+        assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == "error: criterion c' M^-1 c overflows; c is too large\n"
+
 
 class TestCheck:
     def test_scores_benchmark_plan(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:

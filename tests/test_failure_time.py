@@ -29,8 +29,11 @@ from adtplan import (
     sigma_u,
     sigma_u2,
 )
-from adtplan.failure_time import _BRACKET_LIMIT, _H_TOL, _margin_function
-from conftest import T_MEDIAN, cubic_model, quadratic_model, random_affine_model
+from adtplan.failure_time import _BRACKET_LIMIT, _margin_function
+from conftest import TABLE1, T_MEDIAN, cubic_model, quadratic_model, random_affine_model
+
+# Margin-scale tolerance of the quantile round trip through failure_cdf.
+_ROUND_TRIP_TOL = 1.0e-10
 
 
 def _zero_start_variance_model() -> DegradationModel:
@@ -44,6 +47,13 @@ def _zero_start_margin_model() -> DegradationModel:
     """Path starting exactly at the threshold with zero start variance."""
     return DegradationModel.affine(
         beta=(2.0, 1.0, 1.0, 0.0), sigma1=0.0, sigma2=0.1, rho=0.0, sigma_eps=0.05, x_u=-0.5, y0=1.5
+    )
+
+
+def _scaled_random_effects(model: DegradationModel, scale: float) -> DegradationModel:
+    """model with every random-effect standard deviation multiplied by scale."""
+    return dataclasses.replace(
+        model, sigma_gamma=tuple(tuple(v * scale * scale for v in row) for row in model.sigma_gamma)
     )
 
 
@@ -299,7 +309,46 @@ class TestQuantile:
             return
         res = quantile(alpha, model)
         assert res.exists
-        assert abs(h(res.t_alpha, model) - float(ndtri(alpha))) <= _H_TOL
+        assert abs(h(res.t_alpha, model) - float(ndtri(alpha))) <= _ROUND_TRIP_TOL
+
+    @pytest.mark.parametrize("sd", [1e-7, 1e-9])
+    def test_steep_margin_returns_the_bracketing_float(self, sd: float) -> None:
+        # Tiny random effects make h steep: one ulp of t moves it by more
+        # than 1e-10, so |h(t_alpha) - z| is 1.8e-9 (sd 1e-7) and 9.3e-8
+        # (sd 1e-9), yet t_alpha is the quantile to the last float.
+        model = DegradationModel.affine(**{**TABLE1, "sigma1": sd, "sigma2": sd, "rho": 0.0})
+        z = NormalDist().inv_cdf(0.3)
+        res = quantile(0.3, model)
+        assert res.exists
+        assert h(math.nextafter(res.t_alpha, 0.0), model) < z <= h(res.t_alpha, model)
+        assert res.t_alpha == pytest.approx(T_MEDIAN, rel=1e-6)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        quadratic=st.booleans(),
+        log10_scale=st.floats(min_value=-9.0, max_value=0.0),
+        alpha=st.floats(min_value=0.001, max_value=0.999),
+    )
+    @example(seed=0, quadratic=False, log10_scale=-9.0, alpha=0.3)
+    @example(seed=0, quadratic=True, log10_scale=-9.0, alpha=0.3)
+    @settings(max_examples=60, deadline=None)
+    def test_quantile_is_missing_refused_or_bracketed(
+        self, seed: int, quadratic: bool, log10_scale: float, alpha: float
+    ) -> None:
+        # Affine models (rho of either sign) and the quadratic model with
+        # random effects scaled log-uniformly over [1e-9, 1].  The only
+        # refusal is the sampled monotonicity check; an answer is the
+        # adjacent-float bracket of z whatever its residual.
+        base = quadratic_model() if quadratic else random_affine_model(np.random.default_rng(seed))
+        model = _scaled_random_effects(base, 10.0**log10_scale)
+        try:
+            res = quantile(alpha, model)
+        except NonMonotoneMarginError as exc:
+            assert "is not strictly increasing on" in str(exc)
+            return
+        if res.exists:
+            z = NormalDist().inv_cdf(alpha)
+            assert h(math.nextafter(res.t_alpha, 0.0), model) < z <= h(res.t_alpha, model)
 
     def test_bounds_bracket_the_root(self, table1: DegradationModel) -> None:
         res = quantile(0.9, table1)

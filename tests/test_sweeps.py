@@ -324,6 +324,13 @@ class TestSweepEdges:
             with pytest.raises(ValidationError, match="affine"):
                 sweep_pi_star(default_sweep_spec(variable), quad)
 
+    def test_overflowing_median_sweep_refused(self, table1: DegradationModel) -> None:
+        # Medians past about 1e154 overflow the closed forms; the sweep once
+        # warned of the overflow and blamed its own result check instead.
+        spec = SweepSpec(variable="t_median", lo=1.05, hi=1.0e300, n_points=20)
+        with pytest.raises(ValidationError, match=r"criterion c' M\^-1 c overflows; c is too large"):
+            sweep_efficiency(spec, table1)
+
     def test_full_error_covariance_rejected(self, table1: DegradationModel) -> None:
         full = dataclasses.replace(table1, error_spec=ErrorSpec(full=((0.048**2, 0.0), (0.0, 0.048**2))))
         for variable in ("t_median", "sigma_ratio"):
