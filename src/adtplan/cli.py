@@ -20,6 +20,7 @@ an optimality certificate (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -380,11 +381,16 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_VALIDATION
+    # A refused run prints no partial report: the report reaches stdout only when the handler returns.
+    report = io.StringIO()
     try:
-        return _HANDLERS[args.subcommand](args, scenario)
+        with contextlib.redirect_stdout(report):
+            code = _HANDLERS[args.subcommand](args, scenario)
     except (AdtPlanError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_VALIDATION
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -121,12 +121,7 @@ def elfving_time_design(model: DegradationModel, t_star: float) -> ApproximateDe
             f"t_star = {t_star} <= 1 is out of the extrapolation regime; "
             "use numeric_destructive_time_design"
         )
-    return _endpoint_design(t_star, VarianceFunction(model).ratio_end_over_start())
-
-
-def _endpoint_design(t_star: float, ratio: float) -> ApproximateDesign:
-    """elfving_time_design from the ratio sigma(1)/sigma(0): {0, 1} with pi* at t = 1."""
-    pi1 = pi_star_from_ratio(t_star, ratio)
+    pi1 = pi_star_from_ratio(t_star, VarianceFunction(model).ratio_end_over_start())
     return ApproximateDesign(points=(0.0, 1.0), weights=(1.0 - pi1, pi1))
 
 

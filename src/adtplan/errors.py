@@ -60,9 +60,10 @@ class NoPositiveMedianError(AdtPlanError):
 
 
 class NonMonotoneMarginError(AdtPlanError):
-    """The standardized margin is not increasing on the search bracket.
+    """The quantile root may not be unique: the margin, sampled on the search bracket, does not rise.
 
-    Raised instead of returning a possibly non-unique quantile root.
+    Only non-affine time bases can raise it; an affine margin turns at most
+    once, so inside the quantile window its root is unique.
     """
 
 

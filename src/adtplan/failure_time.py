@@ -45,7 +45,7 @@ __all__ = [
 
 # Root search keeps doubling the bracket's right end until it passes this.
 _BRACKET_LIMIT = 1.0e6
-# Grid size for the numerical monotonicity check used when rho < 0.
+# Grid size for the numerical monotonicity check of non-affine time bases.
 _MONOTONE_GRID = 1024
 
 
@@ -155,8 +155,10 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
     solution and are reported with exists=False instead of an exception.
     Otherwise t_alpha is the float b with h(a) < z_alpha <= h(b) at the
     float a just below it, h as _margin_function evaluates it (the
-    random-intercept closed form aside).  NonMonotoneMarginError is raised
-    only when h, sampled on the bracket, does not rise.
+    random-intercept closed form aside).  For the affine basis h turns at
+    most once, so inside the window it crosses z_alpha exactly once.  Other
+    bases sample h on the bracket and raise NonMonotoneMarginError when it
+    does not rise, since the root may then not be unique.
     """
     from statistics import NormalDist
 
@@ -192,9 +194,9 @@ def quantile(alpha: float, model: DegradationModel) -> QuantileResult:
         if hi > _BRACKET_LIMIT:
             return QuantileResult(t_alpha=math.nan, exists=False, bounds_used=(lo, hi))
 
-    # h is increasing for affine paths with rho >= 0.  Otherwise sample it on
-    # the bracket, and refuse rather than guess when the root may not be unique.
-    if not model.time_basis.is_affine or model.sigma_gamma_matrix()[0, 1] < 0.0:
+    # An affine margin turns at most once (the numerator of h' is linear in t),
+    # so only other bases are sampled, and refused when the root may not be unique.
+    if not model.time_basis.is_affine:
         if np.any(np.diff(h(np.linspace(lo, hi, _MONOTONE_GRID), model)) <= 0.0):
             raise NonMonotoneMarginError(
                 f"h is not strictly increasing on [{lo}, {hi}]; quantile root may not be unique"

@@ -34,7 +34,6 @@ import numpy as np
 from .criteria import _require_finite_criterion
 from .destructive import (
     VarianceFunction,
-    _endpoint_design,
     elfving_stress_design,
     elfving_time_design,
     pi_star_from_ratio,
@@ -94,6 +93,10 @@ class SweepSpec:
             )
         if not (self.lo < self.hi):
             raise ValidationError(f"sweep range needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi):  # lo < hi leaves only hi = inf; a lo of -inf fails the positivity checks
+            raise ValidationError(f"sweep range must be finite, got hi = {self.hi}")
+        if not isinstance(self.n_points, int):
+            raise ValidationError(f"sweep needs an integer number of points, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValidationError(f"sweep needs at least 2 points, got {self.n_points}")
         if self.variable == "t_median" and not (self.lo > 1.0):
@@ -259,11 +262,7 @@ def candidate_time_designs(names: Sequence[str], model: DegradationModel, t_star
     Every candidate crosses its time design with the model's Elfving stress
     design, so the time design is all that tells candidates apart.
     """
-    return _candidates(names, elfving_time_design(model, t_star) if CANDIDATE_ZETA_STAR in names else None)
-
-
-def _candidates(names: Sequence[str], zeta_star: ApproximateDesign | None) -> dict[str, ApproximateDesign]:
-    """The named candidates' time designs, zeta_star the Elfving one (None when it is not named)."""
+    zeta_star = elfving_time_design(model, t_star) if CANDIDATE_ZETA_STAR in names else None
     return {
         name: zeta_star if name == CANDIDATE_ZETA_STAR else uniform_time_design(2 if name == CANDIDATE_TAU2 else 6)
         for name in names
@@ -283,8 +282,7 @@ def sweep_efficiency(spec: SweepSpec, model: DegradationModel) -> SweepResult:
         raise ValidationError("efficiency sweeps require affine stress and time bases")
     base, t_nom, t_median, ratio = _resolve_nominals(spec, model)
     elfving_stress_design(base)  # cancels from every efficiency; raises if x_u lies in [0, 1]
-    zeta_star = _endpoint_design(t_nom, ratio) if CANDIDATE_ZETA_STAR in spec.candidates else None
-    candidates = _candidates(spec.candidates, zeta_star)
+    candidates = candidate_time_designs(spec.candidates, base, t_nom)
     a = spec.abscissae()
     sg = base.sigma_gamma_matrix()
     if spec.variable == "t_median":

@@ -29,6 +29,21 @@ model:
   y0: 3.912
 """
 
+# An affine model with rho = -0.95 whose margin h rises through z(0.69),
+# peaks and falls back toward delta2/sigma2 = 1.
+SPIKE = """\
+model:
+  stress_basis: affine
+  time_basis: affine
+  beta: [0.3, 2.0, 0.0, 0.0]
+  sigma1: 1.0
+  sigma2: 2.0
+  rho: -0.95
+  sigma_eps: 0.05
+  x_u: -0.1
+  y0: 0.5
+"""
+
 
 # What Python's UTF-8 codec says about a file starting with the bytes ff fe.
 _UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -64,6 +79,31 @@ class TestQuantile:
         deltas = [repr(float(d)) for d in eval_delta(model)]
         assert [report.get(f"delta_{i}") for i in (1, 2, 3, 4)] == [*deltas, None]
         assert float(report["t_alpha"]) == pytest.approx(median_failure_time(model), rel=1e-12)
+
+
+    def test_affine_margin_turning_once_is_answered(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # h turns once and crosses z once; the run once exited 2 with
+        # "h is not strictly increasing on [0.0, 1.0]".
+        scn = tmp_path / "spike.scenario"
+        scn.write_text(SPIKE)
+        assert main(["quantile", "--scenario", str(scn), "--alpha", "0.69"]) == 0
+        out = capsys.readouterr().out
+        assert "t_alpha,0.2399268230557423\nexists,true\n" in out
+
+    def test_refused_run_prints_no_partial_report(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # The quantile exists, but the report's median does not; the run once
+        # printed command, alpha and both deltas before exiting 2.
+        scn = tmp_path / "no_median.scenario"
+        scn.write_text(SPIKE.replace("rho: -0.95", "rho: 0.5").replace("y0: 0.5", "y0: 0.0"))
+        assert main(["quantile", "--scenario", str(scn), "--alpha", "0.95"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: no positive median: need delta_2 > 0 and delta_1 < y0, got delta = (0.3, 2.0), y0 = 0.0\n",
+        )
 
 
 class TestOptimizeTime:
@@ -237,6 +277,31 @@ class TestSweep:
         scn.write_text(MODEL_ONLY + "sweep:\n  variable: t_median\n  lo: 1.05\n  hi: 1.0e+300\n  n: 20\n")
         assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err == "error: criterion c' M^-1 c overflows; c is too large\n"
+
+    def test_infinite_range_exits_two(self, tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+        # np.geomspace once warned on the infinite end, and the run blamed an
+        # overflowing criterion instead.
+        scn = tmp_path / "inf.scenario"
+        scn.write_text(MODEL_ONLY + "sweep:\n  variable: t_median\n  lo: 1.05\n  hi: .inf\n  n: 20\n")
+        assert main(["sweep", "--scenario", str(scn)]) == 2
+        assert capsys.readouterr() == ("", "error: sweep: sweep range must be finite, got hi = inf\n")
+
+    @pytest.mark.parametrize("subcommand", ["sweep", "efficiency"])
+    def test_median_inside_the_horizon_exits_two(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str], subcommand: str
+    ) -> None:
+        # Both commands build the nominal candidates through one function, so
+        # a nominal median <= 1 is refused in the same words.
+        scn = tmp_path / "short.scenario"
+        scn.write_text(
+            MODEL_ONLY.replace("y0: 3.912", "y0: 3.1") + "sweep:\n  variable: t_median\n  lo: 1.05\n  hi: 5.0\n  n: 20\n"
+        )
+        assert main([subcommand, "--scenario", str(scn)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: t_star = 0.7831792923475974 <= 1 is out of the extrapolation regime; "
+            "use numeric_destructive_time_design\n",
+        )
 
 
 class TestCheck:

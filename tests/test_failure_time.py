@@ -289,27 +289,55 @@ class TestQuantile:
         t0=st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
     )
     @example(seed=14684, t0=2.74609375)
+    @example(seed=1, t0=0.25)
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_random_nonnegative_rho(self, seed: int, t0: float) -> None:
+    def test_round_trip_random_affine(self, seed: int, t0: float) -> None:
         # The round trip is asserted on the margin scale, where it is well
-        # conditioned.  On the time scale it is not: at the pinned example
-        # alpha = 1 - 4.9e-12, and one ulp of alpha moves t_alpha by 2.9e-7
-        # relative.
-        rng = np.random.default_rng(seed)
-        model = random_affine_model(rng)
-        if model.sigma_gamma_matrix()[0, 1] < 0.0:
-            model = dataclasses.replace(
-                model,
-                sigma_gamma=tuple(
-                    tuple(abs(v) for v in row) for row in model.sigma_gamma
-                ),
-            )
+        # conditioned.  On the time scale it is not: at the first pinned
+        # example alpha = 1 - 4.9e-12, and one ulp of alpha moves t_alpha by
+        # 2.9e-7 relative.  With rho < 0, h may dip below h(0) before t0
+        # (the second example); such a level lies outside the window
+        # (Phi(h(0)), lim Phi(h)) and is skipped.
+        model = random_affine_model(np.random.default_rng(seed))
         alpha = failure_cdf(t0, model)
-        if not (1e-12 < alpha < 1.0 - 1e-12):
+        if not (max(1e-12, failure_cdf(0.0, model)) < alpha < 1.0 - 1e-12):
             return
         res = quantile(alpha, model)
         assert res.exists
         assert abs(h(res.t_alpha, model) - float(ndtri(alpha))) <= _ROUND_TRIP_TOL
+
+    @pytest.mark.parametrize(
+        "model, alpha, t_alpha",
+        [
+            # h falls from -1084 on [0, 0.065], then rises through z = -0.973.
+            (
+                _scaled_random_effects(random_affine_model(np.random.default_rng(675405136)), 10.0**-1.5706),
+                0.1652,
+                1.7035613449552902,
+            ),
+            # h rises through z = 0.496, peaks at 4.13 and falls toward delta2/sigma2 = 1 > z.
+            (
+                DegradationModel.affine(
+                    beta=(0.3, 2.0, 0.0, 0.0), sigma1=1.0, sigma2=2.0, rho=-0.95, sigma_eps=0.05, x_u=-0.1, y0=0.0
+                ),
+                0.69,
+                0.06673538480716704,
+            ),
+        ],
+        ids=["dip_then_rise", "spike_then_fall"],
+    )
+    def test_affine_margin_turning_once_crosses_once(
+        self, model: DegradationModel, alpha: float, t_alpha: float
+    ) -> None:
+        # rho < 0 lets h turn, but for the affine basis the numerator of h'
+        # is linear in t, so h turns at most once and crosses z once.  Both
+        # quantiles were once refused as non-monotone.
+        z = NormalDist().inv_cdf(alpha)
+        res = quantile(alpha, model)
+        assert res.exists and res.t_alpha == t_alpha
+        assert h(math.nextafter(t_alpha, 0.0), model) < z <= h(t_alpha, model)
+        above = h(np.linspace(*res.bounds_used, 200_001), model) >= z
+        assert np.count_nonzero(np.diff(above)) == 1
 
     @pytest.mark.parametrize("sd", [1e-7, 1e-9])
     def test_steep_margin_returns_the_bracketing_float(self, sd: float) -> None:
@@ -337,13 +365,15 @@ class TestQuantile:
     ) -> None:
         # Affine models (rho of either sign) and the quadratic model with
         # random effects scaled log-uniformly over [1e-9, 1].  The only
-        # refusal is the sampled monotonicity check; an answer is the
-        # adjacent-float bracket of z whatever its residual.
+        # refusal is the sampled monotonicity check, which only non-affine
+        # bases run; an answer is the adjacent-float bracket of z whatever
+        # its residual.
         base = quadratic_model() if quadratic else random_affine_model(np.random.default_rng(seed))
         model = _scaled_random_effects(base, 10.0**log10_scale)
         try:
             res = quantile(alpha, model)
         except NonMonotoneMarginError as exc:
+            assert quadratic
             assert "is not strictly increasing on" in str(exc)
             return
         if res.exists:
@@ -356,15 +386,17 @@ class TestQuantile:
         assert lo <= res.t_alpha <= hi
 
     def test_non_monotone_margin_detected(self) -> None:
-        # Strong negative correlation makes sigma_u dip sharply, so the
-        # margin rises then falls inside the bracket; the solver must refuse
-        # rather than silently pick a branch.
-        model = DegradationModel.affine(
-            beta=(0.3, 2.0, 0.0, 0.0),
-            sigma1=1.0,
-            sigma2=2.0,
-            rho=-0.95,
-            sigma_eps=0.05,
+        # The spike of test_affine_margin_turning_once_crosses_once on a
+        # quadratic time basis: strong negative correlation makes sigma_u
+        # dip sharply, so the margin rises then falls inside the bracket.
+        # Non-affine bases fall back on sampling h, and the solver must
+        # refuse rather than silently pick a branch.
+        model = DegradationModel(
+            stress_basis=PowerBasis(1),
+            time_basis=PowerBasis(2),
+            beta=(0.3, 2.0, 0.0, 0.0, 0.0, 0.0),
+            sigma_gamma=((1.0, -1.9, 0.0), (-1.9, 4.0, 0.0), (0.0, 0.0, 0.1**2)),
+            error_spec=ErrorSpec(sigma_eps=0.05),
             x_u=-0.1,
             y0=0.0,
         )

@@ -119,6 +119,25 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             SweepSpec(variable="t_median", lo=1.1, hi=2.0, candidates=("nope",))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"variable": "t_median", "lo": 1.05, "hi": math.inf}, "sweep range must be finite, got hi = inf"),
+            ({"variable": "sigma_ratio", "lo": 0.2, "hi": math.inf}, "sweep range must be finite, got hi = inf"),
+            (
+                {"variable": "t_median", "lo": 1.1, "hi": 2.0, "n_points": 2.5},
+                "sweep needs an integer number of points, got 2.5",
+            ),
+        ],
+        ids=["t_median_inf", "sigma_ratio_inf", "float_n_points"],
+    )
+    def test_unusable_range_or_count_refused(self, fields: dict, message: str) -> None:
+        # An infinite hi once reached np.geomspace, which warned and gave NaN
+        # abscissae; a float n_points raised numpy's bare TypeError there.
+        with pytest.raises(ValidationError) as exc:
+            SweepSpec(**fields)
+        assert str(exc.value) == message
+
 
 class TestSweepPiStar:
     def test_t_rows_match_closed_form(self, table1: DegradationModel) -> None:
