@@ -15,6 +15,18 @@ shortest round-trip form, so identical inputs give identical bytes.
 
 Exit codes: 0 success, 2 validation failure, 3 optimization finished without
 an optimality certificate (outputs are still written).
+
+The `adtplan` script and `python -m adtplan.cli` both enter through run(),
+which moves every object alive at that point into the collector's permanent
+generation (gc.freeze) and exits with main()'s code.  A process that runs
+one command keeps its import-time objects (numpy's, PyYAML's, this
+package's) until it exits, yet CPython's shutdown collections walk them
+all; frozen, they are skipped, and shutdown drops from about 15-21 ms to
+about 4 ms per process (CPython 3.11, numpy 2.4, two Xeon cores).  run() does
+not end with os._exit, which would save about 3 ms more but skip atexit
+handlers and SystemExit, so coverage or cProfile wrapping the module would
+lose its report.  main(argv) changes no global state and is the in-process
+entry.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -53,7 +66,7 @@ from .sweeps import (
 )
 from .timeplan import OptimizerConfig, design_sensitivity, kkt_check, optimize_time_plan
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
@@ -393,5 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: freeze the objects imports left behind, then exit with main()'s code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -158,7 +158,6 @@ class _CappedCProblem:
         self.n, self.p = self.V.shape
         self.cap = float(cap)
         self.w = np.zeros(self.n)
-        self.L: np.ndarray | None = None
 
     def cholesky(self, w: np.ndarray) -> np.ndarray | None:
         """Lower Cholesky factor of M(w), summed over the support of w; None when singular."""
@@ -170,13 +169,11 @@ class _CappedCProblem:
         except np.linalg.LinAlgError:
             return None
 
-    def criterion_and_sensitivity(self, L: np.ndarray | None) -> tuple[float, np.ndarray | None]:
-        """Criterion value and per-point sensitivity phi from the factor L of M; (inf, None) if singular.
+    def criterion_and_sensitivity(self, L: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Criterion value and per-point sensitivity phi from the factor L of M; (inf, None) unless 0 < c' M^-1 c < inf.
 
         phi_j = (c' M^-1 v_j)^2 / (c' M^-1 c), normalized so sum_j w_j phi_j = 1.
         """
-        if L is None:
-            return math.inf, None
         y = np.linalg.solve(L, self.c)
         crit = float(y @ y)
         if not (crit > 0.0) or not math.isfinite(crit):
@@ -199,7 +196,9 @@ class _CappedCProblem:
         decrease f(0) - f(step) from this formula, which stays accurate below
         the rounding noise of a recomputed criterion, or None when
         phi_r - phi_d <= min_gap, no step is possible or the step would leave
-        a singular design.
+        a singular design.  Once P(0) = -n0 > min_gap c'M^-1 c >= 0 the exact
+        decrease is positive for every step in (0, first root of f'], so the
+        test that the computed decrease is positive guards rounding alone.
         """
         w = self.w
         Y = np.linalg.solve(self.L, self.stack[[i, j, -1]].T)
@@ -277,11 +276,12 @@ class _CappedCProblem:
             if norm > 0.0:  # a zero column is a rank drop, which the test below reports
                 x /= norm
             columns[i + 1 :] -= np.outer(columns[i + 1 :, S] @ (w[S] * x[S]), x)
-        if not min(diagonal) > self.p * 2.0**-52 * max(diagonal):
-            raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
         self.stack = columns.T
         self.V, self.c = self.stack[:-1], self.stack[-1]
-        self.L = self.cholesky(w)
+        # Past the rank test the start's information is I up to rounding; a factor that still fails is a rank drop.
+        if not min(diagonal) > self.p * 2.0**-52 * max(diagonal) or (L := self.cholesky(w)) is None:
+            raise InfeasibleDesignError("singular start: some p candidate vectors are linearly dependent")
+        self.L = L
 
 
 def _nearest(s: int, n: int) -> Iterator[int]:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -540,3 +544,46 @@ def test_sweep_json_matches_golden_csv(name: str, tmp_path: Path, capsys: pytest
     assert payload["columns"] == header
     assert payload["rows"] == [[None if cell == "nan" else float(cell) for cell in row] for row in rows]
     assert any(None in row for row in payload["rows"]) == (name == "sweep_sigma_ratio")
+
+
+def run_process(args: list[str], cwd: Path) -> subprocess.CompletedProcess[bytes]:
+    """A fresh interpreter running args with this checkout's src/ importable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=env)
+
+
+class TestProcess:
+    """python -m adtplan.cli enters through run(), which freezes gc and exits with main()'s code."""
+
+    def test_quantile_prints_golden(self, tmp_path: Path) -> None:
+        done = run_process(["-m", "adtplan.cli", "quantile", "--scenario", str(SCENARIO)], tmp_path)
+        assert (done.returncode, done.stdout) == (0, (GOLDEN / "quantile.out").read_bytes())
+
+    def test_optimize_time_writes_golden(self, tmp_path: Path) -> None:
+        argv = ["optimize-time", "--scenario", str(SCENARIO), "--out", str(tmp_path / "plan.csv")]
+        assert run_process(["-m", "adtplan.cli", *argv], tmp_path).returncode == 0
+        assert (tmp_path / "plan.csv").read_bytes() == (GOLDEN / "optimize_time.csv").read_bytes()
+
+    def test_refusal_exits_2_with_empty_stdout(self, tmp_path: Path) -> None:
+        done = run_process(["-m", "adtplan.cli", "quantile", "--scenario", str(SCENARIO), "--alpha", "2"], tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"error: alpha must be in (0,1), got 2.0\n"
+
+    def test_exit_runs_atexit_handlers(self, tmp_path: Path) -> None:
+        # The process leaves through SystemExit, not os._exit: a handler that
+        # coverage or a profiler would register still runs after run() froze
+        # the heap, and the process keeps main()'s exit code.
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['adtplan', 'quantile', '--scenario', {str(SCENARIO)!r}, '--alpha', '2']\n"
+            "runpy.run_module('adtplan.cli', run_name='__main__')\n"
+        )
+        done = run_process(["-c", code], tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"atexit True\n")
+
+    def test_main_leaves_gc_unfrozen(self, capsys: pytest.CaptureFixture[str]) -> None:
+        frozen = gc.get_freeze_count()
+        assert main(["quantile", "--scenario", str(SCENARIO)]) == 0
+        assert gc.get_freeze_count() == frozen

@@ -1,7 +1,8 @@
 """The runtime needs numpy, and PyYAML only to read and write scenarios; scipy serves the test oracles.
 
 The package re-exports every library module's public names, and the
-benchmark under bench/ imports and traces adtplan names; they must exist.
+benchmark under bench/ imports and traces adtplan names; they must exist,
+as must the entry points pyproject.toml installs as scripts.
 """
 
 from __future__ import annotations
@@ -128,3 +129,14 @@ def test_bench_traced_functions_resolve() -> None:
         if not callable(getattr(importlib.import_module(f"adtplan.{layer}"), fname, None))
     ]
     assert missing == []
+
+
+def test_project_scripts_resolve() -> None:
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((BENCH.parent / "pyproject.toml").read_text())["project"]["scripts"]
+    targets = {}
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        targets[name] = getattr(importlib.import_module(module), function, None)
+    assert [name for name, entry in targets.items() if not callable(entry)] == []
+    assert targets["adtplan"] is importlib.import_module("adtplan.cli").run
