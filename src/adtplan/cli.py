@@ -291,14 +291,11 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
     _emit("n_points", spec.n_points)
     _emit("nominal_t_median", result.nominal_t_median)
     _emit("nominal_ratio", result.nominal_ratio)
-    _emit("unreachable_rows", sum(1 for r in result.rows if not r.reachable))
+    _emit("unreachable_rows", int((~result.reachable).sum()))
     _emit("elapsed_s", round(elapsed, 6))
 
-    col = {name: i for i, name in enumerate(spec.candidates)}
-    rows = [
-        [r.abscissa, r.pi_star, *(r.efficiencies[col[name]] if name in col else math.nan for name in ALL_CANDIDATES)]
-        for r in result.rows
-    ]
+    effs = [result.column(c).tolist() if c in spec.candidates else [math.nan] * spec.n_points for c in ALL_CANDIDATES]
+    rows = [list(row) for row in zip(result.abscissa.tolist(), result.pi_star.tolist(), *effs)]
     # NaN is not valid JSON; unreachable cells become null.
     _write_table(
         args, scenario, ["abscissa", "pi_star", *_EFF_KEYS], rows,

@@ -18,7 +18,7 @@ convention sigma1^2 = sigma2^2 + sigma_eps^2, which reaches only a bounded
 ratio interval; rows outside it carry pi* (a function of the ratio alone)
 but no efficiencies, and are flagged.
 
-Sweep points are mutually independent; rows are ordered by abscissa.
+Sweep points are mutually independent; columns are ordered by abscissa.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -120,37 +120,47 @@ class SweepRow(NamedTuple):
     reachable: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Ordered sweep rows plus the nominal markers they are measured against."""
+    """Read-only sweep columns, one efficiency column per candidate, and the nominal markers."""
 
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    abscissa: np.ndarray
+    pi_star: np.ndarray
+    efficiencies: np.ndarray
+    reachable: np.ndarray
     nominal_t_median: float
     nominal_ratio: float
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if not (0.0 < row.pi_star < 1.0):
-                raise ValidationError(f"pi_star out of (0,1) at abscissa {row.abscissa}: {row.pi_star}")
-            for eff in row.efficiencies:
-                if math.isnan(eff):
-                    if row.reachable:
-                        raise ValidationError(f"NaN efficiency on unflagged row at {row.abscissa}")
-                    continue
-                if not (0.0 < eff <= 1.0 + 1e-9):
-                    raise ValidationError(f"efficiency out of (0,1] at abscissa {row.abscissa}: {eff}")
+        a, pi, effs = self.abscissa, self.pi_star, self.efficiencies
+        for col in (a, pi, effs, self.reachable):
+            col.flags.writeable = False
+        bad = np.flatnonzero(~((0.0 < pi) & (pi < 1.0)))
+        if bad.size:
+            raise ValidationError(f"pi_star out of (0,1) at abscissa {a[bad[0]]}: {pi[bad[0]]}")
+        bad = np.flatnonzero(np.isnan(effs).any(axis=1) & self.reachable)
+        if bad.size:
+            raise ValidationError(f"NaN efficiency on unflagged row at {a[bad[0]]}")
+        bad = np.flatnonzero((effs <= 0.0) | (effs > 1.0 + 1e-9))  # NaN fails both comparisons
+        if bad.size:
+            raise ValidationError(f"efficiency out of (0,1] at abscissa {a[bad[0] // effs.shape[1]]}: {effs.flat[bad[0]]}")
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        # tuple.__new__ over whole rows builds each SweepRow in C.
+        effs = map(tuple, self.efficiencies.tolist())
+        cells = zip(self.abscissa.tolist(), self.pi_star.tolist(), effs, self.reachable.tolist())
+        return tuple(map(partial(tuple.__new__, SweepRow), cells))
 
     def column(self, name: str) -> np.ndarray:
-        if name == "abscissa":
-            return np.array([r.abscissa for r in self.rows])
-        if name == "pi_star":
-            return np.array([r.pi_star for r in self.rows])
-        try:
-            idx = self.spec.candidates.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-        return np.array([r.efficiencies[idx] if idx < len(r.efficiencies) else math.nan for r in self.rows])
+        if name in ("abscissa", "pi_star"):
+            return getattr(self, name)
+        if name not in self.spec.candidates:
+            raise KeyError(name)
+        if not self.efficiencies.shape[1]:  # a pi* sweep scores no candidate
+            return np.broadcast_to(math.nan, self.abscissa.shape)
+        return self.efficiencies[:, self.spec.candidates.index(name)]
 
 
 def uniform_time_design(k: int) -> ApproximateDesign:
@@ -233,12 +243,9 @@ def _result(
     effs: np.ndarray,
     reachable: np.ndarray,
 ) -> SweepResult:
-    """Rows with pi* at every abscissa a (of t* at the base ratio, or of the ratio at t*) and the nominal markers."""
+    """The result with pi* at every abscissa a: of t* at the base ratio, or of the ratio at t*."""
     pi = pi_star_from_ratio(a, ratio) if spec.variable == "t_median" else pi_star_from_ratio(t_star, a)
-    # tuple.__new__ over whole rows builds each SweepRow in C.
-    columns = zip(a.tolist(), pi.tolist(), map(tuple, effs.tolist()), reachable.tolist())
-    rows = map(partial(tuple.__new__, SweepRow), columns)
-    return SweepResult(spec=spec, rows=tuple(rows), nominal_t_median=t_median, nominal_ratio=ratio)
+    return SweepResult(spec, a, pi, effs, reachable, nominal_t_median=t_median, nominal_ratio=ratio)
 
 
 def sweep_pi_star(spec: SweepSpec, model: DegradationModel) -> SweepResult:

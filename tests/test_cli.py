@@ -272,6 +272,30 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 5
 
+    def test_candidate_subset_leaves_the_other_columns_empty(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    ) -> None:
+        # The table keeps a column for every candidate; one the sweep does not
+        # score reads nan in CSV and null in JSON, and the rest match the full sweep.
+        section = "sweep:\n  variable: sigma_ratio\n  lo: 0.2\n  hi: 5.0\n  n: 9\n"
+        tables = {}
+        for tag, candidates in (("full", ""), ("tau2", "  candidates: [xi_tau2]\n")):
+            for fmt in ("csv", "json"):
+                scn = tmp_path / f"{tag}_{fmt}.scenario"
+                out = tmp_path / f"{tag}.{fmt}"
+                scn.write_text(MODEL_ONLY + section + candidates + f"output:\n  format: {fmt}\n  path: {out}\n")
+                assert main(["sweep", "--scenario", str(scn)]) == 0
+                tables[tag, fmt] = out.read_text()
+        capsys.readouterr()
+        (_, *full), (header, *tau2) = (list(csv.reader(tables[t, "csv"].splitlines())) for t in ("full", "tau2"))
+        assert header == ["abscissa", "pi_star", "eff_zeta_star", "eff_tau2", "eff_tau6"]
+        assert [[r[0], r[1], r[3]] for r in tau2] == [[r[0], r[1], r[3]] for r in full]
+        assert [[r[2], r[4]] for r in tau2] == [["nan", "nan"]] * 9
+        assert any(r[3] != "nan" for r in tau2) and any(r[3] == "nan" for r in tau2)
+        full_json, tau2_json = (json.loads(tables[t, "json"])["rows"] for t in ("full", "tau2"))
+        assert [[r[0], r[1], r[3]] for r in tau2_json] == [[r[0], r[1], r[3]] for r in full_json]
+        assert [[r[2], r[4]] for r in tau2_json] == [[None, None]] * 9
+
     def test_overflowing_median_sweep_exits_two(
         self, tmp_path: Path, capsys: pytest.CaptureFixture[str]
     ) -> None:

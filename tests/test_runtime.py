@@ -115,6 +115,20 @@ def test_bench_imports_resolve() -> None:
     assert [n for n in names if not hasattr(adtplan, n)] == []
 
 
+def test_bench_destructive_round_passes_its_checks(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Every operation of one destructive round, through the benchmark's own
+    # run() and check(); bench/ is imported without writing bytecode into it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    failures = {}
+    for op in workloads.destructive_round(101):
+        problems = op.check(op.run())
+        if problems:
+            failures[op.label] = problems
+    assert failures == {}
+
+
 def test_bench_traced_functions_resolve() -> None:
     tree = ast.parse((BENCH / "spans.py").read_text())
     layers = next(

@@ -18,7 +18,6 @@ from adtplan import (
     DegradationModel,
     ErrorSpec,
     OutOfRegimeError,
-    SweepRow,
     SweepSpec,
     SweepResult,
     ValidationError,
@@ -223,8 +222,14 @@ class TestSweepEfficiency:
         assert col.shape == (4,)
         assert result.column("abscissa").tolist() == [row.abscissa for row in result.rows]
         assert result.column("pi_star").tolist() == [row.pi_star for row in result.rows]
-        with pytest.raises(KeyError):
-            result.column(CANDIDATE_TAU6)
+        for name in (CANDIDATE_TAU6, "bogus"):
+            with pytest.raises(KeyError):
+                result.column(name)
+        for name in ("abscissa", "pi_star", CANDIDATE_TAU2):
+            with pytest.raises(ValueError, match="read-only"):
+                result.column(name)[0] = 0.5
+        pis = sweep_pi_star(spec, table1)
+        assert np.isnan(pis.column(CANDIDATE_TAU2)).tolist() == [True] * 4
 
     def test_held_fixed_re_pins_ratio(self, table1: DegradationModel) -> None:
         spec = SweepSpec(
@@ -238,32 +243,40 @@ class TestSweepEfficiency:
 
 
 class TestSweepResultValidation:
-    def _spec(self) -> SweepSpec:
-        return SweepSpec(variable="t_median", lo=1.2, hi=6.0, n_points=2)
+    """Each check names the first abscissa that fails it."""
+
+    def _result(self, pi_star: list[float], efficiencies: list[list[float]], reachable: list[bool]) -> SweepResult:
+        return SweepResult(
+            spec=SweepSpec(variable="t_median", lo=1.2, hi=6.0, n_points=3),
+            abscissa=np.array([1.2, 3.0, 6.0]),
+            pi_star=np.array(pi_star),
+            efficiencies=np.array(efficiencies),
+            reachable=np.array(reachable),
+            nominal_t_median=1.58,
+            nominal_ratio=1.22,
+        )
 
     def test_rejects_pi_out_of_range(self) -> None:
-        rows = (
-            SweepRow(abscissa=1.2, pi_star=1.5, efficiencies=(0.9, 0.9, 0.9)),
-            SweepRow(abscissa=6.0, pi_star=0.5, efficiencies=(0.9, 0.9, 0.9)),
-        )
-        with pytest.raises(ValidationError):
-            SweepResult(spec=self._spec(), rows=rows, nominal_t_median=1.58, nominal_ratio=1.22)
+        with pytest.raises(ValidationError) as exc:
+            self._result([0.8, 1.5, 0.0], [[0.9] * 3] * 3, [True] * 3)
+        assert str(exc.value) == "pi_star out of (0,1) at abscissa 3.0: 1.5"
 
     def test_rejects_nan_on_reachable_row(self) -> None:
-        rows = (
-            SweepRow(abscissa=1.2, pi_star=0.8, efficiencies=(float("nan"), 0.9, 0.9)),
-            SweepRow(abscissa=6.0, pi_star=0.5, efficiencies=(0.9, 0.9, 0.9)),
-        )
-        with pytest.raises(ValidationError):
-            SweepResult(spec=self._spec(), rows=rows, nominal_t_median=1.58, nominal_ratio=1.22)
+        effs = [[0.9, 0.9, 0.9], [0.9, math.nan, 0.9], [math.nan, 0.9, 0.9]]
+        with pytest.raises(ValidationError) as exc:
+            self._result([0.8, 0.6, 0.5], effs, [True] * 3)
+        assert str(exc.value) == "NaN efficiency on unflagged row at 3.0"
 
     def test_rejects_efficiency_above_one(self) -> None:
-        rows = (
-            SweepRow(abscissa=1.2, pi_star=0.8, efficiencies=(1.2, 0.9, 0.9)),
-            SweepRow(abscissa=6.0, pi_star=0.5, efficiencies=(0.9, 0.9, 0.9)),
-        )
-        with pytest.raises(ValidationError):
-            SweepResult(spec=self._spec(), rows=rows, nominal_t_median=1.58, nominal_ratio=1.22)
+        effs = [[0.9, 0.9, 0.9], [0.9, 0.9, 1.2], [1.5, 0.9, 0.9]]
+        with pytest.raises(ValidationError) as exc:
+            self._result([0.8, 0.6, 0.5], effs, [True] * 3)
+        assert str(exc.value) == "efficiency out of (0,1] at abscissa 3.0: 1.2"
+
+    def test_accepts_nan_on_unreachable_row(self) -> None:
+        result = self._result([0.8, 0.6, 0.5], [[0.9] * 3, [math.nan] * 3, [0.9] * 3], [True, False, True])
+        assert [row.reachable for row in result.rows] == [True, False, True]
+        assert np.isnan(result.column(CANDIDATE_TAU2)).tolist() == [False, True, False]
 
 
 def _assert_matches_reference(spec: SweepSpec, model: DegradationModel) -> None:
