@@ -224,7 +224,7 @@ def cmd_optimize_time(args: argparse.Namespace, scenario: Scenario) -> int:
 
     index = {t: i for i, t in enumerate(grid.points().tolist())}
     rows = [
-        [t, w, cert.sensitivity[index[t]], index[t] in cert.saturated_set]
+        [t, w, float(cert.sensitivity[index[t]]), index[t] in cert.saturated_set]
         for t, w in zip(design.points, design.weights)
     ]
     _write_table(args, scenario, ["t", "weight", "sensitivity", "saturated"], rows, _records)

@@ -190,4 +190,4 @@ def numeric_destructive_time_design(
         )
     pts = grid.points()
     w, cert = optimize_capped_weights(weighted_f2(pts, model), _target(model, t_star), 1.0, cfg)
-    return support_design(pts, w, 1.0, cert.tol), cert
+    return support_design(pts, w, 1.0), cert

@@ -104,24 +104,26 @@ class OptimizerConfig:
             raise ValidationError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityCertificate:
     """First-order optimality evidence for a capped-grid design.
 
-    sensitivity holds phi at every grid point; the index sets partition the
-    grid by weight (at cap / zero / strictly between).  max_violation is the
-    largest breach of the required ordering
+    sensitivity is the read-only array of phi at the J + 1 grid points;
+    saturated_set and interior_set are read-only, ascending arrays of the
+    grid indices whose weight is within tol of the cap and strictly between
+    (more than tol from 0 and from the cap).  Every other grid point carries
+    weight at most tol.  max_violation is the largest breach of the required
+    ordering
 
-        min(phi on saturated) >= phi on interior (all equal) >= max(phi on zero),
+        min(phi on saturated) >= phi on interior (all equal) >= max(phi on the rest),
 
     and the certificate passes when it does not exceed tol.
     """
 
     max_violation: float
-    saturated_set: tuple[int, ...]
-    interior_set: tuple[int, ...]
-    zero_set: tuple[int, ...]
-    sensitivity: tuple[float, ...]
+    saturated_set: np.ndarray
+    interior_set: np.ndarray
+    sensitivity: np.ndarray
     tol: float
     iterations: int = 0
 
@@ -313,17 +315,13 @@ def _ordering_violation(phi: np.ndarray, saturated: np.ndarray, interior: np.nda
 def _certificate(
     w: np.ndarray, phi: np.ndarray, cap: float, iterations: int, excess: float = 0.0
 ) -> OptimalityCertificate:
-    """Certificate of the weights w priced by phi; excess, a further violation, joins the ordering's."""
+    """Certificate of the weights w priced by phi (kept, read-only); excess, a further violation, joins the ordering's."""
     saturated, interior, zero = _classify(w, cap, _TOL)
-    return OptimalityCertificate(
-        max_violation=max(_ordering_violation(phi, saturated, interior, zero), excess),
-        saturated_set=tuple(np.flatnonzero(saturated).tolist()),
-        interior_set=tuple(np.flatnonzero(interior).tolist()),
-        zero_set=tuple(np.flatnonzero(zero).tolist()),
-        sensitivity=tuple(phi.tolist()),
-        tol=_TOL,
-        iterations=iterations,
-    )
+    violation = max(_ordering_violation(phi, saturated, interior, zero), excess)
+    arrays = np.flatnonzero(saturated), np.flatnonzero(interior), phi  # saturated_set, interior_set, sensitivity
+    for a in arrays:
+        a.flags.writeable = False
+    return OptimalityCertificate(violation, *arrays, _TOL, iterations)
 
 
 def optimize_capped_weights(
@@ -511,11 +509,11 @@ def optimize_time_plan(
     pts = grid.points()
     vectors, c = _time_problem(model, pts, t_star)
     w, cert = optimize_capped_weights(vectors, c, grid.cap, cfg, callback)
-    return support_design(pts, w, grid.cap, cert.tol), cert
+    return support_design(pts, w, grid.cap), cert
 
 
-def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) -> ApproximateDesign:
-    """Design on the grid points whose weight exceeds tol, the certificate's weight tolerance.
+def support_design(points: np.ndarray, w: np.ndarray, cap: float) -> ApproximateDesign:
+    """Design on the grid points whose weight exceeds the certificate's weight tolerance.
 
     Each weight cut off goes to the nearest kept point with room for it
     (w + cut <= cap to a relative 1e-12, then clipped at the cap): its
@@ -525,7 +523,7 @@ def support_design(points: np.ndarray, w: np.ndarray, cap: float, tol: float) ->
     sets its degenerate zeros exactly, so every small weight it leaves is
     needed to identify f2(t*).
     """
-    w, tol = w.copy(), tol if cap < 1.0 else 0.0
+    w, tol = w.copy(), _TOL if cap < 1.0 else 0.0
     kept = np.flatnonzero(w > tol)
     for j in np.flatnonzero((w > 0.0) & (w <= tol)):
         room = kept[w[kept] + w[j] <= cap * (1.0 + 1e-12)]

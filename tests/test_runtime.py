@@ -129,6 +129,21 @@ def test_bench_destructive_round_passes_its_checks(monkeypatch: pytest.MonkeyPat
     assert failures == {}
 
 
+def test_bench_repeated_round_passes_its_checks(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Every operation of one repeated round, through the benchmark's own
+    # run() and check(); a plan with a dust support point counts as failed.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    failures = {}
+    for op in workloads.repeated_round(101):
+        result = op.run()
+        problems = op.check(result) + ["dust support point"] * result["dust"]
+        if problems:
+            failures[op.label] = problems
+    assert failures == {}
+
+
 def test_bench_traced_functions_resolve() -> None:
     tree = ast.parse((BENCH / "spans.py").read_text())
     layers = next(

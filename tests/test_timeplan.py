@@ -168,6 +168,25 @@ _PINNED_PLANS = [
     ),
 ]
 
+# Plans whose raw weights carry no dust, so the returned design is the
+# engine's iterate: (basis, J, k, t*), capped and cap 1.
+_DUST_FREE_PLANS = [
+    ("affine", 20, 6, T_MEDIAN),
+    ("quadratic", 294, 24, 2.391),
+    ("cubic", 62, 7, 1.343),
+    ("cubic", 20, 1, 1.5),
+]
+
+
+def _engine_and_check(
+    table1: DegradationModel, basis: str, J: int, k: int, t_star: float
+) -> tuple[OptimalityCertificate, OptimalityCertificate]:
+    """The engine's certificate of its plan and kkt_check's certificate of the design it returns."""
+    model = {"affine": table1, "quadratic": quadratic_model(), "cubic": cubic_model()}[basis]
+    grid = GridSpec(J=J, k=k)
+    design, cert = optimize_time_plan(grid, model, t_star)
+    return cert, kkt_check(design, grid, model, t_star)
+
 
 class TestExchangeEngine:
     @given(
@@ -683,6 +702,32 @@ class TestKktCheck:
         assert cert.certified
         assert len(cert.sensitivity) == 21
 
+    @pytest.mark.parametrize("basis, J, k, t_star", _DUST_FREE_PLANS)
+    def test_engine_and_check_price_a_plan_alike(
+        self, table1: DegradationModel, basis: str, J: int, k: int, t_star: float
+    ) -> None:
+        # optimize-time reports the engine's certificate and check that of
+        # kkt_check: on a plan that lost no dust weight they agree to the
+        # bit, apart from the engine's step count.
+        cert, check = _engine_and_check(table1, basis, J, k, t_star)
+        assert check.iterations == 0
+        assert check.max_violation == cert.max_violation
+        for name in ("sensitivity", "saturated_set", "interior_set"):
+            assert getattr(check, name).tobytes() == getattr(cert, name).tobytes()
+
+    @pytest.mark.parametrize("basis, J, k, t_star", _DUST_FREE_PLANS)
+    def test_certificate_holds_read_only_arrays(
+        self, table1: DegradationModel, basis: str, J: int, k: int, t_star: float
+    ) -> None:
+        for c in _engine_and_check(table1, basis, J, k, t_star):
+            assert c.sensitivity.shape == (J + 1,)
+            for name in ("sensitivity", "saturated_set", "interior_set"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(c, name)[...] = 0
+            for indices in (c.saturated_set, c.interior_set):
+                assert indices.dtype.kind == "i"
+                assert np.all(np.diff(indices) > 0)
+
     @pytest.mark.parametrize("t_star", [1e160, 1e300])
     @pytest.mark.parametrize("k", [6, 1])
     def test_overflowing_criterion_refused(self, table1: DegradationModel, k: int, t_star: float) -> None:
@@ -714,7 +759,10 @@ class TestKktCheck:
         near = ApproximateDesign(
             points=(0.0, 0.05 - 5e-10, 0.10 + 5e-10, 0.90 + 1e-10, 0.95 - 1e-10, 1.0), weights=TAU0.weights
         )
-        assert kkt_check(near, grid, table1, T_MEDIAN) == kkt_check(TAU0, grid, table1, T_MEDIAN)
+        snapped, exact = kkt_check(near, grid, table1, T_MEDIAN), kkt_check(TAU0, grid, table1, T_MEDIAN)
+        assert snapped.max_violation == exact.max_violation
+        for name in ("sensitivity", "saturated_set", "interior_set"):
+            assert np.array_equal(getattr(snapped, name), getattr(exact, name))
         off = ApproximateDesign(points=(0.0, 0.05 + 1e-6, 1.0), weights=(0.25, 0.25, 0.5))
         with pytest.raises(ValidationError, match=f"design point {0.05 + 1e-6} is not a grid point"):
             kkt_check(off, grid, table1, T_MEDIAN)
@@ -734,7 +782,7 @@ class TestKktCheck:
         assert design.points == (t_star,) and cert.certified
         check = kkt_check(design, grid, model, t_star)
         assert check.certified
-        assert check.saturated_set == (round(t_star * 20),)
+        assert check.saturated_set.tolist() == [round(t_star * 20)]
         assert check.sensitivity[round(t_star * 20)] == pytest.approx(1.0, abs=1e-12)
         assert max(check.sensitivity) <= 1.0 + 1e-12
         # A one-point plan elsewhere does not identify f2(t*).
@@ -799,7 +847,7 @@ class TestKktCheck:
             design, model, t_star
         ).criterion_fixed - 1.0
         assert not check.certified
-        assert check.interior_set == (0, 5, 15, 20)
+        assert check.interior_set.tolist() == [0, 5, 15, 20]
         assert max(check.sensitivity) == pytest.approx(1.0, abs=1e-12)
         assert check.max_violation == pytest.approx(excess, rel=1e-12)
         assert excess == pytest.approx(0.17455621301775, rel=1e-9)
